@@ -69,7 +69,7 @@ def test_bf16_codec_roundtrip(benchmark, name):
 
 
 def test_fused_functional_gemm(benchmark):
-    matrix = compress(SMALL)
-    x = np.random.default_rng(3).normal(0, 1, (256, 8)).astype(np.float32)
+    matrix = compress(LAYER)
+    x = np.random.default_rng(3).normal(0, 1, (1024, 8)).astype(np.float32)
     fused = benchmark(zipgemm_execute, matrix, x)
-    assert np.array_equal(fused, dense_gemm_tiled(SMALL, x))
+    assert np.array_equal(fused, dense_gemm_tiled(LAYER, x))

@@ -1,34 +1,35 @@
 """Bit-exact functional GEMM executors (correctness layer of ZipGEMM).
 
 Performance is modelled analytically elsewhere; *values* are computed here.
-Both executors run the exact same tiled schedule — one FragTile-sized
-``(8,8) @ (8,N)`` multiply-accumulate per step, in canonical tile order — and
-differ only in where the fragment comes from:
+Both executors obtain every FragTile at once, as ``(n_tiles, 64)`` BF16 words
+in canonical tile order, and run the same batched schedule on them:
 
-* :func:`dense_gemm_tiled` slices it from the uncompressed weights;
-* :func:`zipgemm_execute` decodes it from the TCA-TBE buffers immediately
-  before use ("load-compressed, compute-decompressed", §4.3).
+* :func:`dense_gemm_tiled` takes them from the uncompressed weights
+  (``to_tiles`` of the padded matrix);
+* :func:`zipgemm_execute` decodes them from the TCA-TBE buffers in one
+  vectorised pass — the decode, buffer checks included, of
+  :func:`repro.tcatbe.decompress` ("load-compressed, compute-decompressed",
+  §4.3; each FragTile decodes independently of the others).
 
-Because TCA-TBE is lossless and the schedules are identical, the outputs are
-bit-identical float32 arrays — the paper's "bit-exact inference" property,
-asserted directly in the tests.
+The schedule multiplies all FragTiles as one stacked ``matmul`` of
+``(8,8) @ (8,N)`` products, then accumulates each output row strip from
+zeros over its K slices in ascending K — the order in which the canonical
+tile order visits them.  The float operations are therefore those of a
+one-FragTile-at-a-time loop, in the same order, and since TCA-TBE is
+lossless the two executors return bit-identical float32 arrays: the paper's
+"bit-exact inference" property, asserted in the tests against such a loop.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from ..bf16 import bf16_to_f32
 from ..errors import ShapeError
-from ..tcatbe.decompressor import decompress_tile
+from ..tcatbe.decompressor import _decode_tiles
 from ..tcatbe.format import TcaTbeMatrix
-from ..tcatbe.layout import FRAG_TILE, pad_matrix, padded_shape, tile_base_coords
+from ..tcatbe.layout import FRAG_TILE, from_tiles, pad_matrix, to_tiles
 from ..utils import require_2d
-
-#: Type of a fragment source: tile index -> (8, 8) float32 fragment.
-FragProvider = Callable[[int], np.ndarray]
 
 
 def _pad_activations(x: np.ndarray, k_padded: int) -> np.ndarray:
@@ -43,28 +44,39 @@ def _pad_activations(x: np.ndarray, k_padded: int) -> np.ndarray:
 
 
 def _tiled_gemm(
-    frag_provider: FragProvider,
+    tiles: np.ndarray,
     shape: tuple[int, int],
     shape_padded: tuple[int, int],
     x: np.ndarray,
 ) -> np.ndarray:
-    """Shared tiled schedule: accumulate FragTile products in canonical order.
+    """Shared batched schedule over canonical-order FragTiles.
 
-    The canonical tile order visits, for each output row strip, its K slices
-    in ascending K — mirroring the kernel's split-K chunk loop.  Both the
-    dense reference and the fused path call this exact function, so their
-    floating-point operation order is identical.
+    Every FragTile product ``(8,8) @ (8,N)`` is taken in one stacked
+    ``matmul``, each the same contiguous BLAS call a one-tile-at-a-time loop
+    makes.  Each output row strip then starts from zeros and gets one
+    vectorised ``+=`` per K slice in ascending K, the order in which the
+    canonical tile order visits a strip's slices (the kernel's split-K chunk
+    loop).  The float operations and their order are thus the per-tile
+    loop's, and so are the output bits; ``np.sum`` or ``einsum`` would leave
+    the reduction order unspecified.
     """
     m, k = shape
     mp, kp = shape_padded
     if x.shape[0] != k:
         raise ShapeError(f"K mismatch: weights {m}x{k} vs activations {x.shape}")
     xp = _pad_activations(x, kp)
-    out = np.zeros((mp, x.shape[1]), dtype=np.float32)
-    for tile_index, (row0, col0) in enumerate(tile_base_coords(mp, kp)):
-        frag = frag_provider(tile_index)
-        out[row0:row0 + FRAG_TILE] += frag @ xp[col0:col0 + FRAG_TILE]
-    return out[:m]
+    n = x.shape[1]
+    strips, slices = mp // FRAG_TILE, kp // FRAG_TILE
+    grid = from_tiles(tiles, shape_padded).reshape(
+        strips, FRAG_TILE, slices, FRAG_TILE)
+    # (slice, strip, 8, 8): BLAS may order a strided fragment's sums
+    # differently, so each FragTile is made contiguous.
+    frags = bf16_to_f32(np.ascontiguousarray(grid.transpose(2, 0, 1, 3)))
+    products = np.matmul(frags, xp.reshape(slices, 1, FRAG_TILE, n))
+    out = np.zeros((strips, FRAG_TILE, n), dtype=np.float32)
+    for product in products:
+        out += product
+    return out.reshape(mp, n)[:m]
 
 
 def dense_gemm_tiled(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,29 +85,13 @@ def dense_gemm_tiled(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     if weights.dtype != np.uint16:
         raise ShapeError("weights must be BF16 bit patterns (uint16)")
     padded = pad_matrix(weights, 0)
-    coords = tile_base_coords(*padded.shape)
-    w32 = bf16_to_f32(padded)
-
-    def provider(tile_index: int) -> np.ndarray:
-        row0, col0 = coords[tile_index]
-        # Contiguous copy: BLAS may pick a different (differently-ordered)
-        # microkernel for strided views, which would break bit-equality with
-        # the fused path's contiguous fragments.
-        return np.ascontiguousarray(
-            w32[row0:row0 + FRAG_TILE, col0:col0 + FRAG_TILE]
-        )
-
-    return _tiled_gemm(provider, weights.shape, padded.shape, x)
+    return _tiled_gemm(to_tiles(padded), weights.shape, padded.shape, x)
 
 
 def zipgemm_execute(matrix: TcaTbeMatrix, x: np.ndarray) -> np.ndarray:
-    """Fused execution: decode each FragTile on the fly, then accumulate."""
-
-    def provider(tile_index: int) -> np.ndarray:
-        bits = decompress_tile(matrix, tile_index)
-        return bf16_to_f32(bits.reshape(FRAG_TILE, FRAG_TILE))
-
-    return _tiled_gemm(provider, matrix.shape, matrix.padded_shape, x)
+    """Fused execution: decode every FragTile in one pass, then accumulate."""
+    return _tiled_gemm(
+        _decode_tiles(matrix), matrix.shape, matrix.padded_shape, x)
 
 
 def dense_gemm_reference(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -104,8 +100,3 @@ def dense_gemm_reference(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     if weights.dtype != np.uint16:
         raise ShapeError("weights must be BF16 bit patterns (uint16)")
     return bf16_to_f32(weights) @ x
-
-
-def padded_shape_of(weights: np.ndarray) -> tuple[int, int]:
-    """Convenience re-export for tests."""
-    return padded_shape(*weights.shape)

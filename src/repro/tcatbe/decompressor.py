@@ -17,24 +17,27 @@ from ..errors import FormatError
 from .format import TcaTbeMatrix
 from .layout import FRAG_ELEMS, from_tiles
 
-_POSITIONS = np.arange(FRAG_ELEMS, dtype=np.uint64)
-
 
 def _codes_from_bitmaps(bitmaps: np.ndarray) -> np.ndarray:
     """Expand ``(n_tiles, 3)`` bit-planes into ``(n_tiles, 64)`` codewords."""
-    codes = np.zeros((bitmaps.shape[0], FRAG_ELEMS), dtype=np.uint8)
-    for plane in range(3):
-        bits = (bitmaps[:, plane:plane + 1] >> _POSITIONS) & np.uint64(1)
-        codes |= (bits << np.uint64(plane)).astype(np.uint8)
-    return codes
+    # Bit p of a little-endian uint64 is bit p % 8 of its byte p // 8.
+    planes = np.unpackbits(
+        np.ascontiguousarray(bitmaps, dtype="<u8").view(np.uint8),
+        bitorder="little",
+    ).reshape(-1, 3, FRAG_ELEMS)
+    return planes[:, 0] | (planes[:, 1] << 1) | (planes[:, 2] << 2)
 
 
-def decompress(matrix: TcaTbeMatrix) -> np.ndarray:
-    """Reconstruct the exact original BF16 (uint16) matrix."""
+def _decode_tiles(matrix: TcaTbeMatrix) -> np.ndarray:
+    """Decode every FragTile to ``(n_tiles, 64)`` BF16 words, canonical order.
+
+    Shared by :func:`decompress` and ZipGEMM (:mod:`repro.kernels.functional`),
+    so both check the buffer sizes the same way.
+    """
     codes = _codes_from_bitmaps(matrix.bitmaps)
     in_window = codes > 0
 
-    expected_high = int(in_window.sum())
+    expected_high = int(np.count_nonzero(in_window))
     if expected_high != matrix.n_high:
         raise FormatError(
             f"bitmap indicator says {expected_high} compressed elements,"
@@ -54,8 +57,12 @@ def decompress(matrix: TcaTbeMatrix) -> np.ndarray:
 
     # Case B (fallback path): raw 16-bit words.
     tiles[~in_window] = matrix.low
+    return tiles
 
-    padded = from_tiles(tiles, matrix.padded_shape)
+
+def decompress(matrix: TcaTbeMatrix) -> np.ndarray:
+    """Reconstruct the exact original BF16 (uint16) matrix."""
+    padded = from_tiles(_decode_tiles(matrix), matrix.padded_shape)
     rows, cols = matrix.shape
     return np.ascontiguousarray(padded[:rows, :cols])
 
@@ -64,7 +71,8 @@ def decompress_tile(matrix: TcaTbeMatrix, tile_index: int) -> np.ndarray:
     """Decode a single FragTile to its 64 BF16 words (canonical order).
 
     This is the unit of work the fused ZipGEMM kernel performs per warp and
-    per K-slice; :mod:`repro.kernels.functional` builds on it.
+    per K-slice; the warp-level reference :mod:`repro.tcatbe.warp_ref` is
+    tested against it.
     """
     if not 0 <= tile_index < matrix.n_tiles:
         raise FormatError(

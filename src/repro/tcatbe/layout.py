@@ -111,26 +111,18 @@ def from_tiles(tiles: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def tile_base_coords(prows: int, pcols: int) -> np.ndarray:
     """Top-left (row, col) of every FragTile in canonical tile order.
 
-    Useful for tests and for the warp-level reference decoder, which works on
-    one FragTile at a time.
+    Derived from :func:`to_tiles` itself (position 0 of each FragTile of the
+    row and column index grids), so the canonical order has one definition.
+    Useful for tests, such as the per-tile GEMM oracle, that walk FragTiles
+    one at a time.
     """
     if prows % BLOCK_TILE or pcols % BLOCK_TILE:
         raise ShapeError("shape must be BlockTile aligned")
-    mb, kb = prows // BLOCK_TILE, pcols // BLOCK_TILE
-    coords = []
-    for bt_r in range(mb):
-        for bt_c in range(kb):
-            for tt_r in range(_TT_PER_BT):
-                for tt_c in range(_TT_PER_BT):
-                    for ft_c in range(_FT_PER_TT):
-                        for ft_r in range(_FT_PER_TT):
-                            coords.append((
-                                bt_r * BLOCK_TILE + tt_r * TC_TILE
-                                + ft_r * FRAG_TILE,
-                                bt_c * BLOCK_TILE + tt_c * TC_TILE
-                                + ft_c * FRAG_TILE,
-                            ))
-    return np.asarray(coords, dtype=np.int64)
+    rows, cols = np.indices((prows, pcols), dtype=np.int32, sparse=True)
+    return np.stack([
+        to_tiles(np.broadcast_to(grid, (prows, pcols)))[:, 0]
+        for grid in (rows, cols)
+    ], axis=1).astype(np.int64)
 
 
 def lane_positions(lane: int) -> tuple[int, int]:
