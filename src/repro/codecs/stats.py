@@ -20,11 +20,6 @@ def byte_entropy(data: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def histogram256(data: np.ndarray) -> np.ndarray:
-    """256-bin histogram of a byte stream."""
-    return np.bincount(as_u8(data), minlength=256).astype(np.int64)
-
-
 def top_k_coverage(freqs: np.ndarray, k: int) -> float:
     """Fraction of symbols covered by the k most frequent values."""
     freqs = np.asarray(freqs, dtype=np.int64)

@@ -25,13 +25,6 @@ class KernelProfile:
             raise ConfigError("kernel time must be non-negative")
 
     @property
-    def tflops(self) -> float:
-        """Achieved TFLOP/s."""
-        if self.time_s == 0:
-            return 0.0
-        return self.flops / self.time_s / 1e12
-
-    @property
     def achieved_gbps(self) -> float:
         """Achieved DRAM bandwidth in GB/s."""
         if self.time_s == 0:

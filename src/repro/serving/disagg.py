@@ -70,22 +70,24 @@ from ..compression import resolve_spec
 from ..errors import CapacityError, ConfigError, SchedulingError
 from ..utils import ceil_div
 from .costs import StepCostModel, maybe_memoize
-from .kernel import EventKernel, Stage
+from .kernel import Stage
 from .kvcache import KVCacheSpec, PagedKVCache
 from .metrics import (
     ContinuousResult,
     PoolStats,
+    ReplicaStats,
     TransferRecord,
     TransferStats,
 )
 from .prefixcache import PrefixCacheStats
 from .scheduler import ContinuousBatchScheduler, Request, get_policy
 from .serve import (
+    ReplicaEngine,
     ServingConfig,
     _raise_stranded,
     build_prefix_cache,
-    decode_window_len,
-    run_decode_window,
+    merged_cache_stats,
+    run_topology,
 )
 from .telemetry import build_recorder
 
@@ -223,7 +225,10 @@ class PrefillPoolStage(Stage):
         link: "TransferLinkStage",
         decode_pool: "DecodePoolStage",
         recorder=None,
+        name: str | None = None,
     ):
+        if name is not None:
+            self.name = name
         disagg = config.disagg
         self.costs = costs
         self.policy = get_policy(config.policy)
@@ -359,50 +364,20 @@ class PrefillPoolStage(Stage):
             )
 
 
-class _PrefillReplica:
-    """One chunked prefill engine: scheduler, KV cache and local clock."""
-
-    def __init__(
-        self,
-        index: int,
-        costs: StepCostModel,
-        kv_spec: KVCacheSpec,
-        kv_bytes: float,
-        config: ServingConfig,
-    ):
-        self.index = index
-        self.costs = costs
-        self.config = config
-        # The prefix cache lives on the *prefill* side — that is where
-        # cached tokens skip work.  Each replica carves a private cache
-        # out of its own KV budget (None when no cache is configured).
-        self.prefix_cache, batch_bytes = build_prefix_cache(
-            config, kv_spec, kv_bytes, costs
-        )
-        self.scheduler = ContinuousBatchScheduler(
-            PagedKVCache(kv_spec, batch_bytes), config.limits,
-            config.policy, prefix_cache=self.prefix_cache,
-        )
-        #: (arrival_s, tiebreak, request) — dispatched, not yet due.
-        self.pending: list[tuple[float, int, Request]] = []
-        self.outstanding_prompt = 0
-        self.clock = 0.0
-        self.busy_s = 0.0
-        self.n_steps = 0
-
-
 class ChunkedPrefillPoolStage(Stage):
     """Chunked prefill pool: each replica co-schedules prompt chunks.
 
     Selected by ``DisaggConfig(prefill_mode="chunked")``.  Arrivals are
     dispatched to the replica with the fewest outstanding prompt tokens
-    (ties to the lowest index); each replica then runs the colocated
+    (ties to the lowest index); each replica is a
+    :class:`~repro.serving.serve.ReplicaEngine` running the colocated
     chunked planner in prefill-only form — decode never happens here, a
     request is :meth:`~repro.serving.scheduler.ContinuousBatchScheduler.release`-d
     to the transfer link the instant its last chunk completes (which is
     also its TTFT stamp).  Unlike the group pool, chunked replicas hold
     prompt KV resident while prefilling, so each replica carries the
-    same KV budget as a decode replica.
+    same KV budget as a decode replica, and a private prefix cache
+    carved out of it (that is where cached tokens skip work).
 
     Backpressure gates *admission* into a replica (running chunks always
     finish): requests are admitted one at a time, the gate re-judged
@@ -423,22 +398,40 @@ class ChunkedPrefillPoolStage(Stage):
         link: "TransferLinkStage",
         decode_pool: "DecodePoolStage",
         recorder=None,
+        name: str | None = None,
     ):
-        self.costs = costs
-        self.config = config
+        if name is not None:
+            self.name = name
         self.backpressure = config.disagg.backpressure
         self.link = link
         self.decode_pool = decode_pool
         self.gate = _BackpressureGate(
             config.disagg.backpressure, link, decode_pool
         )
-        self.replicas = [
-            _PrefillReplica(i, costs, kv_spec, kv_bytes, config)
-            for i in range(config.disagg.prefill_replicas)
-        ]
         self._rec = recorder
         if recorder is not None:
-            self.attach_recorder(recorder)
+            self.gate.recorder = recorder
+            self.gate.track = self.name
+        self.replicas: list[ReplicaEngine] = []
+        for i in range(config.disagg.prefill_replicas):
+            cache, batch_bytes = build_prefix_cache(
+                config, kv_spec, kv_bytes, costs
+            )
+            track = f"{self.name}/r{i}"
+            if recorder is not None and cache is not None:
+                cache.telemetry = recorder
+                cache.track = f"{track}/cache"
+            scheduler = ContinuousBatchScheduler(
+                PagedKVCache(kv_spec, batch_bytes), config.limits,
+                config.policy, prefix_cache=cache,
+            )
+            self.replicas.append(ReplicaEngine(
+                scheduler, costs, config, track, recorder, index=i,
+                admit=self._admit, after_commit=self._ship,
+                prefill_only=True,
+            ))
+        #: Prompt tokens dispatched to each replica and not yet shipped.
+        self._outstanding = [0] * len(self.replicas)
         self.pending = sorted(
             requests, key=lambda r: (r.arrival_s, r.request_id)
         )
@@ -449,27 +442,8 @@ class ChunkedPrefillPoolStage(Stage):
         #: backpressure watermark reads).
         self._inflight: list[tuple[float, int, Request]] = []
 
-    def attach_recorder(self, recorder) -> None:
-        """Point every telemetry hook of this pool at ``recorder``.
-
-        Track names derive from ``self.name``; the fleet layer calls
-        this again after renaming the stage so a replica's lanes read
-        ``prefill[2]/r0`` rather than a bare ``prefill/r0``.
-        """
-        self._rec = recorder
-        self.gate.recorder = recorder
-        self.gate.track = self.name
-        for replica in self.replicas:
-            replica.scheduler.telemetry = recorder
-            replica.scheduler.track = f"{self.name}/r{replica.index}"
-            if replica.prefix_cache is not None:
-                replica.prefix_cache.telemetry = recorder
-                replica.prefix_cache.track = (
-                    f"{self.name}/r{replica.index}/cache"
-                )
-
     # ------------------------------------------------------------------
-    def _replica_event(self, replica: _PrefillReplica) -> float | None:
+    def _replica_event(self, replica: ReplicaEngine) -> float | None:
         if replica.scheduler.running:
             return replica.clock
         if replica.pending:
@@ -501,33 +475,28 @@ class ChunkedPrefillPoolStage(Stage):
         while self.pending and self.pending[0].arrival_s <= now:
             req = self.pending.pop(0)
             target = min(
-                self.replicas,
-                key=lambda r: (r.outstanding_prompt, r.index),
+                range(len(self.replicas)),
+                key=lambda i: (self._outstanding[i], i),
             )
-            target.outstanding_prompt += req.prompt_len
+            self._outstanding[target] += req.prompt_len
             heapq.heappush(
-                target.pending, (req.arrival_s, req.request_id, req)
+                self.replicas[target].pending,
+                (req.arrival_s, req.request_id, req),
             )
         for replica in self.replicas:
             t = self._replica_event(replica)
             if t is not None and t <= now:
-                self._step_replica(replica, now)
+                replica.step(now)
 
     # ------------------------------------------------------------------
-    def _gated(self, replica: _PrefillReplica, now: float) -> bool:
+    def _gated(self, replica: ReplicaEngine, now: float) -> bool:
         if self.backpressure is None or not replica.scheduler.waiting:
             return False
-        head = replica.scheduler.policy.order_waiting(
-            replica.scheduler.waiting
-        )[0]
-        return self.gate.stalled(head, now)
+        return self.gate.stalled(replica.scheduler.waiting_head(), now)
 
-    def _step_replica(self, replica: _PrefillReplica, now: float) -> None:
-        """One scheduling iteration of one chunked prefill replica."""
+    def _admit(self, replica: ReplicaEngine, now: float) -> bool:
+        """Gated one-at-a-time admission (a replica's admit hook)."""
         scheduler = replica.scheduler
-        while replica.pending and replica.pending[0][0] <= replica.clock:
-            _, _, req = heapq.heappop(replica.pending)
-            scheduler.submit(req)
         if (
             self.backpressure is not None
             and not scheduler.running
@@ -540,9 +509,8 @@ class ChunkedPrefillPoolStage(Stage):
             # never retroactively (the chunked twin of the group pool's
             # start floor).
             replica.clock = now
-        rec = self._rec
-        if rec is not None:
-            scheduler._now = replica.clock
+            if self._rec is not None:
+                scheduler._now = now
         # Admit one request at a time so the backpressure gate sees each
         # admission's committed KV before judging the next head — a
         # whole-round admit could flood the decode pool in one go.
@@ -556,48 +524,17 @@ class ChunkedPrefillPoolStage(Stage):
             self.decode_pool.commit_blocks(admitted[0])
             self.gate.resumed(now)
             gated = self._gated(replica, now)
-        plan = scheduler.plan_step()
-        if plan.empty:
-            if replica.pending:
-                replica.clock = max(replica.clock, replica.pending[0][0])
-                return
-            if scheduler.has_work and not gated:
-                # Nothing runs, nothing is due, admission is not gated,
-                # yet requests wait: their prompt KV can never fit this
-                # replica.  (A gated replica reports no event instead —
-                # the kernel re-polls it after every downstream event,
-                # and finish() reports it if the watermark never
-                # clears.)
-                _raise_stranded(scheduler)
-            return
-        if scheduler.prefix_cache is not None:
-            # Cold-tier hits pay their decompression before the step
-            # that uses the restored KV (mirrors the colocated stage).
-            delay_s = scheduler.consume_cache_delay()
-            if delay_s > 0.0:
-                if rec is not None:
-                    rec.span(replica.clock, delay_s, "decompress",
-                             scheduler.track)
-                replica.clock += delay_s
-                replica.busy_s += delay_s
-        breakdown = self.costs.mixed_step(
-            0, 1, plan.n_prefill_seqs, plan.n_prefill_tokens
-        )
-        if rec is not None:
-            rec.span(replica.clock, breakdown.total_s, "prefill",
-                     scheduler.track,
-                     args={"tokens": plan.n_prefill_tokens,
-                           "seqs": plan.n_prefill_seqs})
-        replica.clock += breakdown.total_s
-        replica.busy_s += breakdown.total_s
-        replica.n_steps += 1
-        scheduler.apply_step(plan, replica.clock)
+        return gated
+
+    def _ship(self, replica: ReplicaEngine) -> None:
+        """Release completed prompts (a replica's after-commit hook)."""
+        scheduler = replica.scheduler
         shipped = [
             r for r in scheduler.running if r.prefill_remaining == 0
         ]
         for req in shipped:
             scheduler.release(req)
-            replica.outstanding_prompt -= req.prompt_len
+            self._outstanding[replica.index] -= req.prompt_len
             # Blocks were committed at admission (the KV journey became
             # inevitable there); the decode pool uncommits on landing.
             # Delivery to the link waits for the hand-off's ready
@@ -605,8 +542,6 @@ class ChunkedPrefillPoolStage(Stage):
             heapq.heappush(
                 self._inflight, (replica.clock, req.request_id, req)
             )
-        if rec is not None:
-            rec.sample_engine(scheduler.track, replica.clock, scheduler)
 
     def finish(self) -> None:
         stranded = [r.request_id for r in self.pending] + [
@@ -635,9 +570,9 @@ class ChunkedPrefillPoolStage(Stage):
     def cache_stats(self) -> list[PrefixCacheStats]:
         """Per-replica prefix-cache counters (empty when cache off)."""
         return [
-            r.prefix_cache.stats()
+            r.scheduler.prefix_cache.stats()
             for r in self.replicas
-            if r.prefix_cache is not None
+            if r.scheduler.prefix_cache is not None
         ]
 
 
@@ -668,7 +603,10 @@ class TransferLinkStage(Stage):
         transfer_ratio: float,
         decode_pool: "DecodePoolStage",
         recorder=None,
+        name: str | None = None,
     ):
+        if name is not None:
+            self.name = name
         self._rec = recorder
         disagg = config.disagg
         self.latency = disagg.link_latency_s
@@ -762,48 +700,21 @@ class TransferLinkStage(Stage):
 # ----------------------------------------------------------------------
 # Stage 3: the decode pool
 # ----------------------------------------------------------------------
-class _DecodeReplica:
-    """One decode-pool engine: its own KV cache, scheduler and clock."""
-
-    def __init__(
-        self,
-        index: int,
-        costs: StepCostModel,
-        kv_spec: KVCacheSpec,
-        kv_bytes: float,
-        config: ServingConfig,
-    ):
-        self.index = index
-        self.costs = costs
-        self.config = config
-        self.scheduler = ContinuousBatchScheduler(
-            PagedKVCache(kv_spec, kv_bytes), config.limits, config.policy
-        )
-        #: (release_s, tiebreak, request) — KV arrival order on this replica.
-        self.pending: list[tuple[float, int, Request]] = []
-        self.outstanding_tokens = 0
-        #: Assigned transfers whose landing time is not yet known.
-        self.n_unreleased = 0
-        self.clock = 0.0
-        self.busy_s = 0.0
-        self.n_steps = 0
-        self.peak_running = 0
-        self._quiescent = False
-
-
 class DecodePoolStage(Stage):
     """Decode pool: N independent continuous-batching replicas.
 
-    Each replica's scheduling iteration mirrors the colocated chunked
-    loop, with one twist: an admitted request that was never preempted
-    here enters with ``prefill_remaining = 0`` — its KV arrived over the
-    link, so no prefill is owed.  Locally preempted requests keep the
-    recompute debt ``admit`` assigns them and re-prefill on this
-    replica.  Fast-forward windows are capped at the upstream stages'
-    next event in addition to the replica's own next KV landing: the
-    interleaved kernel cannot see hand-offs that have not been scheduled
-    yet, so it stops a window where new work *could* appear (with exact
-    costs every window is one step and the cap is moot).
+    Each replica is a :class:`~repro.serving.serve.ReplicaEngine` — the
+    colocated chunked step — with one twist: an admitted request that
+    was never preempted here enters with ``prefill_remaining = 0`` — its
+    KV arrived over the link, so no prefill is owed.  Locally preempted
+    requests keep the recompute debt ``admit`` assigns them and
+    re-prefill on this replica.  Fast-forward windows are capped at the
+    upstream stages' next event in addition to the replica's own next
+    KV landing: the interleaved kernel cannot see hand-offs that have
+    not been scheduled yet, so it stops a window where new work *could*
+    appear (with exact costs every window is one step and the cap is
+    moot).  A replica whose waiting KV cannot fit goes quiet until the
+    next landing re-polls it.
 
     The stage also owns the backpressure bookkeeping the prefill stage
     reads: committed-but-not-landed KV blocks and the pool's projected
@@ -820,15 +731,30 @@ class DecodePoolStage(Stage):
         kv_bytes: float,
         config: ServingConfig,
         recorder=None,
+        name: str | None = None,
     ):
-        self.config = config
+        if name is not None:
+            self.name = name
+        self._rec = recorder
         self.replicas = [
-            _DecodeReplica(i, costs, kv_spec, kv_bytes, config)
+            ReplicaEngine(
+                ContinuousBatchScheduler(
+                    PagedKVCache(kv_spec, kv_bytes), config.limits,
+                    config.policy,
+                ),
+                costs, config, f"{self.name}/r{i}", recorder, index=i,
+                admit=self._admit_landed,
+                after_commit=self._sample_occupancy,
+                horizon=self._upstream_horizon,
+                quiesce=True,
+            )
             for i in range(config.disagg.decode_replicas)
         ]
-        self._rec = recorder
-        if recorder is not None:
-            self.attach_recorder(recorder)
+        #: Decode tokens assigned to each replica (never decremented,
+        #: matching the sequential fold exactly).
+        self._outstanding = [0] * len(self.replicas)
+        #: Assigned transfers whose landing time is not yet known.
+        self._unreleased = [0] * len(self.replicas)
         self.block_size = kv_spec.block_size
         self.total_blocks = sum(
             r.scheduler.kv.n_blocks for r in self.replicas
@@ -841,17 +767,6 @@ class DecodePoolStage(Stage):
         """Register the stages whose events cap fast-forward windows."""
         self._upstream = stages
 
-    def attach_recorder(self, recorder) -> None:
-        """Point every replica's telemetry hooks at ``recorder``.
-
-        Re-called by the fleet layer after renaming the stage so track
-        names carry the replica-qualified stage name.
-        """
-        self._rec = recorder
-        for replica in self.replicas:
-            replica.scheduler.telemetry = recorder
-            replica.scheduler.track = f"{self.name}/r{replica.index}"
-
     # ------------------------------------------------------------------
     # Backpressure bookkeeping (read by the prefill stage)
     # ------------------------------------------------------------------
@@ -863,9 +778,6 @@ class DecodePoolStage(Stage):
         """Reserve the request's landing footprint (at prefill start)."""
         self.committed_blocks += self.blocks_for(req)
 
-    def _uncommit_blocks(self, req: Request) -> None:
-        self.committed_blocks -= self.blocks_for(req)
-
     def projected_free_frac(self, extra_blocks: int = 0) -> float:
         """Pool free-block fraction after in-flight KV (+extra) lands."""
         free = sum(r.scheduler.kv.free_blocks for r in self.replicas)
@@ -873,11 +785,32 @@ class DecodePoolStage(Stage):
             self.total_blocks, 1
         )
 
-    def _sample_occupancy(self) -> None:
+    # ------------------------------------------------------------------
+    # Replica hooks
+    # ------------------------------------------------------------------
+    def _admit_landed(self, replica: ReplicaEngine, now: float) -> bool:
+        for req in replica.scheduler.admit(enforce_token_budget=False):
+            if req.n_preemptions == 0:
+                req.prefill_remaining = 0
+                self.committed_blocks -= self.blocks_for(req)
+                if self._rec is not None:
+                    # The KV landed over the link — no prefill is owed;
+                    # decode residency starts at this admission.
+                    self._rec.transition(req, replica.clock, "decode")
+        return False
+
+    def _sample_occupancy(self, _replica: ReplicaEngine) -> None:
         used = sum(r.scheduler.kv.used_blocks for r in self.replicas)
         self.peak_kv_frac = max(
             self.peak_kv_frac, used / max(self.total_blocks, 1)
         )
+
+    def _upstream_horizon(self) -> float | None:
+        times = [
+            t for s in self._upstream
+            if (t := s.next_event_time()) is not None
+        ]
+        return min(times) if times else None
 
     # ------------------------------------------------------------------
     # Hand-off plumbing (called by the transfer link)
@@ -888,35 +821,33 @@ class DecodePoolStage(Stage):
         Least-outstanding-tokens first, ties to the lowest replica index
         — the same deterministic greedy the sequential simulation
         applied, and over the same sequence of hand-offs, so the
-        placement is unchanged.  ``outstanding_tokens`` accumulates and
-        is never decremented, matching the sequential fold exactly.
+        placement is unchanged.
         """
         target = min(
-            self.replicas, key=lambda r: (r.outstanding_tokens, r.index)
+            range(len(self.replicas)),
+            key=lambda i: (self._outstanding[i], i),
         )
-        target.outstanding_tokens += req.remaining_tokens
-        target.n_unreleased += 1
-        return target.index
+        self._outstanding[target] += req.remaining_tokens
+        self._unreleased[target] += 1
+        return target
 
     def deliver(self, index: int, req: Request, release_s: float) -> None:
         """Schedule a transfer's landing on its replica (at wire start)."""
         replica = self.replicas[index]
-        replica.n_unreleased -= 1
+        self._unreleased[index] -= 1
         heapq.heappush(
             replica.pending, (release_s, req.request_id, req)
         )
         if self._rec is not None:
-            self._rec.on_deliver(
-                req, release_s, f"{self.name}/r{index}"
-            )
-        replica._quiescent = False
+            self._rec.on_deliver(req, release_s, replica.track)
+        replica.quiescent = False
         # The landing may predate this stage's cached next event — tell
         # the kernel to re-poll (the heap contract).
         self.notify()
 
     # ------------------------------------------------------------------
-    def _replica_event(self, replica: _DecodeReplica) -> float | None:
-        if replica._quiescent:
+    def _replica_event(self, replica: ReplicaEngine) -> float | None:
+        if replica.quiescent:
             return None
         if replica.scheduler.running or replica.scheduler.waiting:
             return replica.clock
@@ -935,117 +866,13 @@ class DecodePoolStage(Stage):
         for replica in self.replicas:
             t = self._replica_event(replica)
             if t is not None and t <= now:
-                self._step_replica(replica)
-
-    def _upstream_horizon(self) -> float | None:
-        times = [
-            t for s in self._upstream
-            if (t := s.next_event_time()) is not None
-        ]
-        return min(times) if times else None
-
-    def _step_replica(self, replica: _DecodeReplica) -> None:
-        """One scheduling iteration: the sequential replica loop body."""
-        scheduler = replica.scheduler
-        rec = self._rec
-        if rec is not None:
-            scheduler._now = replica.clock
-        while replica.pending and replica.pending[0][0] <= replica.clock:
-            _, _, req = heapq.heappop(replica.pending)
-            scheduler.submit(req)
-        for req in scheduler.admit(enforce_token_budget=False):
-            if req.n_preemptions == 0:
-                req.prefill_remaining = 0
-                self._uncommit_blocks(req)
-                if rec is not None:
-                    # The KV landed over the link — no prefill is owed;
-                    # decode residency starts at this admission.
-                    rec.transition(req, replica.clock, "decode")
-        plan = scheduler.plan_step()
-        if self.config.preemption and plan.decode:
-            victims = scheduler.ensure_decode_capacity(plan.decode)
-            if victims:
-                plan.drop(victims)
-        if plan.empty:
-            if replica.pending:
-                replica.clock = max(replica.clock, replica.pending[0][0])
-                return
-            # Nothing runs and nothing is scheduled to land.  If
-            # requests still wait their KV cannot fit *now* — quiesce;
-            # a later landing re-polls us, and finish() raises if none
-            # ever comes (the conservation guarantee).
-            replica._quiescent = True
-            return
-        replica.peak_running = max(
-            replica.peak_running, len(scheduler.running)
-        )
-        breakdown = replica.costs.mixed_step(
-            len(plan.decode),
-            max(plan.mean_decode_ctx, 1),
-            plan.n_prefill_seqs,
-            plan.n_prefill_tokens,
-        )
-        next_event = replica.pending[0][0] if replica.pending else None
-        if self.config.cost_bucket > 0:
-            # Only bucketed costs fast-forward; with exact costs the
-            # window is always one step and the horizon cap is moot —
-            # skip the upstream polls (they include the prefill pool's
-            # policy sort) on the hot path.
-            horizon = self._upstream_horizon()
-            if horizon is not None:
-                next_event = (
-                    horizon if next_event is None
-                    else min(next_event, horizon)
-                )
-        k = decode_window_len(
-            scheduler, plan, next_event, replica.clock,
-            breakdown.total_s, self.config.cost_bucket,
-        )
-        if k > 1:
-            win_start = replica.clock
-            replica.clock, segments = run_decode_window(
-                scheduler, replica.costs, plan, next_event,
-                replica.clock, self.config.cost_bucket,
-                breakdown.total_s, k,
-                preemption=self.config.preemption,
-                on_segment=self._sample_occupancy,
-            )
-            for step_s, ki in segments:
-                replica.busy_s += step_s * ki
-                replica.n_steps += ki
-            if rec is not None:
-                t = win_start
-                for step_s, ki in segments:
-                    rec.span(t, step_s * ki, "decode", scheduler.track,
-                             args={"steps": ki,
-                                   "batch": len(plan.decode)})
-                    t += step_s * ki
-                rec.sample_engine(
-                    scheduler.track, replica.clock, scheduler
-                )
-        else:
-            if rec is not None:
-                rec.span(
-                    replica.clock, breakdown.total_s, "step",
-                    scheduler.track,
-                    args={"decode": len(plan.decode),
-                          "prefill_tokens": plan.n_prefill_tokens},
-                )
-            replica.clock += breakdown.total_s
-            replica.busy_s += breakdown.total_s
-            replica.n_steps += 1
-            scheduler.apply_step(plan, replica.clock)
-            self._sample_occupancy()
-            if rec is not None:
-                rec.sample_engine(
-                    scheduler.track, replica.clock, scheduler
-                )
+                replica.step(now)
 
     def finish(self) -> None:
         for replica in self.replicas:
             if replica.scheduler.has_work:
                 _raise_stranded(replica.scheduler)
-            if replica.pending or replica.n_unreleased:
+            if replica.pending or self._unreleased[replica.index]:
                 raise SchedulingError(
                     f"decode replica {replica.index} left"
                     " undelivered hand-offs"
@@ -1053,8 +880,186 @@ class DecodePoolStage(Stage):
 
 
 # ----------------------------------------------------------------------
-# The core: three stages on one kernel
+# The topology: three stages on one kernel
 # ----------------------------------------------------------------------
+class _DisaggReplica:
+    """A disaggregated topology: prefill pool → link → decode pool.
+
+    The only assembly of the disaggregated topology:
+    :class:`DisaggregatedCore` runs one standalone (``index=None``:
+    stages ``prefill``/``transfer``/``decode``), and a fleet runs one
+    per replica (stages ``prefill[i]``, ...) behind its router.
+    """
+
+    mode = "disaggregated"
+
+    def __init__(
+        self,
+        index: int | None,
+        costs: StepCostModel,
+        kv_spec: KVCacheSpec,
+        kv_bytes: float,
+        config: ServingConfig,
+        recorder=None,
+    ):
+        self.index = index
+        self.config = config
+        self.transfer_ratio = resolve_transfer_ratio(config)
+        suffix = "" if index is None else f"[{index}]"
+        self.decode_pool = DecodePoolStage(
+            costs, kv_spec, kv_bytes, config, recorder=recorder,
+            name=f"decode{suffix}",
+        )
+        self.link = TransferLinkStage(
+            config, kv_spec, self.transfer_ratio, self.decode_pool,
+            recorder=recorder, name=f"transfer{suffix}",
+        )
+        self._chunked = config.disagg.prefill_mode == "chunked"
+        if self._chunked:
+            self.prefill: Stage = ChunkedPrefillPoolStage(
+                [], costs, kv_spec, kv_bytes, config,
+                self.link, self.decode_pool, recorder=recorder,
+                name=f"prefill{suffix}",
+            )
+        else:
+            self.prefill = PrefillPoolStage(
+                [], costs, config, self.link, self.decode_pool,
+                recorder=recorder, name=f"prefill{suffix}",
+            )
+        self.decode_pool.set_upstream(self.prefill, self.link)
+        self.n_routed = 0
+        self.active_since: float | None = None
+
+    # -- router surface -------------------------------------------------
+    @property
+    def stages(self) -> tuple[Stage, ...]:
+        return (self.prefill, self.link, self.decode_pool)
+
+    @property
+    def entry_stage(self) -> Stage:
+        return self.prefill
+
+    def attach_router(self, router) -> None:
+        self.decode_pool.set_upstream(self.prefill, self.link, router)
+
+    def is_active(self, now: float) -> bool:
+        return self.active_since is not None and self.active_since <= now
+
+    def deliver(self, req: Request) -> None:
+        # Arrival-ordered append, matching both pool flavours' pending
+        # contract (they pop arrivals from the front in order).
+        self.prefill.pending.append(req)
+        self.n_routed += 1
+
+    # -- routing signals ------------------------------------------------
+    @property
+    def n_outstanding(self) -> int:
+        return self.n_routed - self.n_finished
+
+    def _queued_requests(self) -> list[Request]:
+        """Requests routed here whose KV is not yet committed downstream."""
+        queued = list(self.prefill.pending)
+        if self._chunked:
+            for rep in self.prefill.replicas:
+                queued += [r for _, _, r in rep.pending]
+                queued += list(rep.scheduler.waiting)
+        else:
+            queued += list(self.prefill.waiting)
+        return queued
+
+    def kv_occupancy(self) -> float:
+        """Projected decode-pool occupancy, queue included.
+
+        ``projected_free_frac`` already counts blocks committed by
+        started/admitted prefills; folding the not-yet-committed queue
+        in as ``extra_blocks`` makes a backlogged cell look as full as
+        it is about to be.
+        """
+        extra = sum(
+            self.decode_pool.blocks_for(r) for r in self._queued_requests()
+        )
+        return 1.0 - self.decode_pool.projected_free_frac(extra)
+
+    @property
+    def stall_s(self) -> float:
+        return self.prefill.stall_s
+
+    # -- result surface -------------------------------------------------
+    @property
+    def n_finished(self) -> int:
+        return sum(
+            len(r.scheduler.finished) for r in self.decode_pool.replicas
+        )
+
+    @property
+    def finished(self) -> list[Request]:
+        out: list[Request] = []
+        for rep in self.decode_pool.replicas:
+            out.extend(rep.scheduler.finished)
+        return out
+
+    @property
+    def clock_s(self) -> float:
+        times = [r.clock for r in self.decode_pool.replicas]
+        times += [t.done_s for t in self.link.records]
+        times += [t.ready_s for t in self.link.records]
+        return max(times, default=0.0)
+
+    @property
+    def n_steps(self) -> int:
+        return self.prefill.n_prefills + sum(
+            r.n_steps for r in self.decode_pool.replicas
+        )
+
+    @property
+    def peak_running(self) -> int:
+        return max(
+            (r.peak_running for r in self.decode_pool.replicas), default=0
+        )
+
+    @property
+    def n_preemptions(self) -> int:
+        return sum(
+            r.scheduler.n_preemptions for r in self.decode_pool.replicas
+        )
+
+    def cache_stats(self) -> list[PrefixCacheStats]:
+        # Only the chunked prefill pool carries prefix caches.
+        return self.prefill.cache_stats() if self._chunked else []
+
+    def stats(self, makespan_s: float) -> ReplicaStats:
+        prefix = "" if self.index is None else f"replica{self.index}/"
+        pools = (
+            PoolStats.from_busy(
+                f"{prefix}prefill", self.prefill.busy,
+                makespan_s, n_steps=self.prefill.n_prefills,
+                stall_s=self.prefill.stall_s,
+            ),
+            PoolStats.from_busy(
+                f"{prefix}decode",
+                [r.busy_s for r in self.decode_pool.replicas],
+                makespan_s,
+                n_steps=sum(
+                    r.n_steps for r in self.decode_pool.replicas
+                ),
+                peak_kv_frac=self.decode_pool.peak_kv_frac,
+            ),
+        )
+        return ReplicaStats(
+            index=self.index,
+            mode=self.mode,
+            n_routed=self.n_routed,
+            n_finished=self.n_finished,
+            n_unfinished=self.n_outstanding,
+            pools=pools,
+            transfer=TransferStats.from_records(
+                self.link.records, makespan_s, self.transfer_ratio,
+                n_links=self.link.n_links,
+                peak_queue_depth=self.link.peak_queue_depth,
+            ),
+        )
+
+
 class DisaggregatedCore:
     """Two-pool serving: prefill pool → KV-transfer link → decode pool.
 
@@ -1112,93 +1117,34 @@ class DisaggregatedCore:
         if not requests:
             raise ConfigError("serve needs at least one request")
         rec = build_recorder(self.config.telemetry)
-        disagg = self.config.disagg
-        decode_pool = DecodePoolStage(
-            self.costs, self.kv_spec, self.kv_bytes, self.config,
+        replica = _DisaggReplica(
+            None, self.costs, self.kv_spec, self.kv_bytes, self.config,
             recorder=rec,
         )
-        link = TransferLinkStage(
-            self.config, self.kv_spec, self.transfer_ratio, decode_pool,
-            recorder=rec,
-        )
-        if disagg.prefill_mode == "chunked":
-            prefill: Stage = ChunkedPrefillPoolStage(
-                requests, self.costs, self.kv_spec, self.kv_bytes,
-                self.config, link, decode_pool, recorder=rec,
-            )
-        else:
-            prefill = PrefillPoolStage(
-                requests, self.costs, self.config, link, decode_pool,
-                recorder=rec,
-            )
-        if rec is not None:
-            for req in sorted(
-                requests, key=lambda r: (r.arrival_s, r.request_id)
-            ):
-                rec.on_arrival(req, track=prefill.name)
-        decode_pool.set_upstream(prefill, link)
-        EventKernel(
-            [prefill, link, decode_pool], recorder=rec
-        ).run(until=deadline_s)
-
-        replicas = decode_pool.replicas
-        transfers = link.records
-        makespan = max(
-            [r.clock for r in replicas]
-            + [t.done_s for t in transfers]
-            + [t.ready_s for t in transfers]
-        )
-        finished: list[Request] = []
-        for replica in replicas:
-            finished.extend(replica.scheduler.finished)
-        finished.sort(key=lambda r: r.request_id)
+        run_topology(replica, requests, rec, deadline_s)
+        finished = sorted(replica.finished, key=lambda r: r.request_id)
         finished_ids = {r.request_id for r in finished}
-        unfinished = [
-            r for r in requests if r.request_id not in finished_ids
-        ]
-        pools = (
-            PoolStats.from_busy(
-                "prefill", prefill.busy, makespan,
-                n_steps=prefill.n_prefills,
-                stall_s=prefill.stall_s,
-            ),
-            PoolStats.from_busy(
-                "decode",
-                [r.busy_s for r in replicas],
-                makespan,
-                n_steps=sum(r.n_steps for r in replicas),
-                peak_kv_frac=decode_pool.peak_kv_frac,
-            ),
-        )
+        makespan = replica.clock_s
+        stats = replica.stats(makespan)
         return ContinuousResult.from_run(
             finished,
             makespan_s=makespan,
-            n_steps=prefill.n_prefills + sum(r.n_steps for r in replicas),
-            peak_running=max(r.peak_running for r in replicas),
+            n_steps=replica.n_steps,
+            peak_running=replica.peak_running,
             slo=self.config.slo,
-            n_preemptions=sum(
-                r.scheduler.n_preemptions for r in replicas
-            ),
+            n_preemptions=replica.n_preemptions,
             policy=self.policy.name,
             # The pool runs whatever DisaggConfig.prefill_mode says —
             # the (colocated-only) ServingConfig.prefill_mode does not
             # reshape it; report what actually happened.
-            prefill_mode=disagg.prefill_mode,
+            prefill_mode=self.config.disagg.prefill_mode,
             mode="disaggregated",
-            pools=pools,
-            transfer=TransferStats.from_records(
-                transfers, makespan, self.transfer_ratio,
-                n_links=link.n_links,
-                peak_queue_depth=link.peak_queue_depth,
-            ),
-            unfinished=unfinished,
+            pools=stats.pools,
+            transfer=stats.transfer,
+            unfinished=[
+                r for r in requests if r.request_id not in finished_ids
+            ],
             deadline_s=deadline_s,
-            prefix_cache=(
-                PrefixCacheStats.merge(cache_stats)
-                if (cache_stats := getattr(
-                    prefill, "cache_stats", lambda: []
-                )())
-                else None
-            ),
+            prefix_cache=merged_cache_stats([replica]),
             telemetry=rec,
         )

@@ -53,7 +53,9 @@ and ``tests/test_disagg.py``):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..compression import (
     ACTIVATION_SIGMA,
@@ -66,10 +68,11 @@ from ..utils import ceil_div
 from .costs import StepCostModel, maybe_memoize
 from .kernel import EventKernel, Stage
 from .kvcache import KVCacheSpec, PagedKVCache
-from .metrics import ContinuousResult, SLOTarget
+from .metrics import ContinuousResult, PoolStats, ReplicaStats, SLOTarget
 from .prefixcache import (
     PrefixCache,
     PrefixCacheConfig,
+    PrefixCacheStats,
     cold_hit_seconds_per_token,
 )
 from .scheduler import (
@@ -79,7 +82,6 @@ from .scheduler import (
     RequestState,
     SchedulerLimits,
     SchedulerPolicy,
-    get_policy,
 )
 from .telemetry import TelemetryConfig, build_recorder
 
@@ -451,17 +453,213 @@ def build_prefix_cache(
     return cache, kv_bytes - cache_bytes
 
 
-class ColocatedStage(Stage):
+class ReplicaEngine:
+    """One continuous-batching replica: the step body every chunked
+    topology runs.
+
+    Owns a replica's scheduler, cost model, pending queue and clock plus
+    its accounting (``busy_s``, ``n_steps``, ``peak_running``).  Each
+    :meth:`step` is one scheduling iteration: submit due arrivals →
+    admit → plan → preempt → charge cold-cache decompression → price →
+    fast-forward a decode window or run a single step → apply.  The
+    colocated engine (:class:`ColocatedStage`), each chunked prefill
+    replica and each decode replica
+    (:mod:`repro.serving.disagg`) are this one body; what differs is
+    bound once at construction:
+
+    * ``admit(engine, now) -> gated`` — admission; the default admits
+      every waiting request that fits.  A decode replica marks landed
+      KV as prefilled, a prefill replica admits one request at a time
+      under its backpressure gate.  The return value says whether a
+      gate is holding admission back.
+    * ``after_commit(engine)`` — runs after every committed step or
+      window segment: occupancy sampling, or the prefill pool shipping
+      completed prompts.  The default samples this engine's KV peak.
+    * ``horizon()`` — the next event this replica cannot see (a router
+      arrival, or upstream stages), capping fast-forward windows.
+    * ``quiesce`` — with work but nothing runnable and nothing pending,
+      go quiet until new work is delivered instead of raising
+      :func:`_raise_stranded`.
+    * ``prefill_only`` — a prefill-pool replica: its single steps are
+      recorded as ``"prefill"`` spans.  Its plans never decode (a
+      completed prompt ships in the same step), so pricing them as
+      ``mixed_step(0, 1, ...)`` is what the shared call computes.
+
+    ``pending`` is a heap of ``(due_s, request_id, request)``.
+    """
+
+    def __init__(
+        self,
+        scheduler: ContinuousBatchScheduler,
+        costs: StepCostModel,
+        config: ServingConfig,
+        track: str,
+        recorder=None,
+        *,
+        index: int = 0,
+        admit=None,
+        after_commit=None,
+        horizon=None,
+        quiesce: bool = False,
+        prefill_only: bool = False,
+    ):
+        self.index = index
+        self.scheduler = scheduler
+        self.costs = costs
+        self.config = config
+        self.track = track
+        #: Optional :class:`~repro.serving.telemetry.TraceRecorder`;
+        #: also attached to the scheduler so admission/finish events
+        #: carry sim time.
+        self._rec = recorder
+        if recorder is not None:
+            scheduler.telemetry = recorder
+            scheduler.track = track
+        self.pending: list[tuple[float, int, Request]] = []
+        self.clock = 0.0
+        self.busy_s = 0.0
+        self.n_steps = 0
+        self.peak_running = 0
+        self.peak_kv_frac = 0.0
+        self.horizon = horizon
+        self.quiesce = quiesce
+        self.quiescent = False
+        self.prefill_only = prefill_only
+        self._admit = (
+            self._admit_all if admit is None else partial(admit, self)
+        )
+        self._after_commit = (
+            self._sample_kv if after_commit is None
+            else partial(after_commit, self)
+        )
+
+    # ------------------------------------------------------------------
+    def _admit_all(self, now: float) -> bool:
+        self.scheduler.admit(enforce_token_budget=False)
+        return False
+
+    def _sample_kv(self) -> None:
+        kv = self.scheduler.kv
+        frac = kv.used_blocks / kv.n_blocks
+        if frac > self.peak_kv_frac:
+            self.peak_kv_frac = frac
+
+    # ------------------------------------------------------------------
+    def step(self, now: float) -> None:
+        """One scheduling iteration at the replica's own clock."""
+        scheduler, pending = self.scheduler, self.pending
+        while pending and pending[0][0] <= self.clock:
+            scheduler.submit(heapq.heappop(pending)[2])
+        rec = self._rec
+        if rec is not None:
+            scheduler._now = self.clock
+        gated = self._admit(now)
+        plan = scheduler.plan_step()
+        if self.config.preemption and plan.decode:
+            victims = scheduler.ensure_decode_capacity(plan.decode)
+            if victims:
+                plan.drop(victims)
+        if plan.empty:
+            if pending:
+                self.clock = max(self.clock, pending[0][0])
+            elif scheduler.has_work and not gated:
+                # Nothing runs, nothing is due and admission is not
+                # gated, yet requests wait: their KV cannot fit.
+                if not self.quiesce:
+                    _raise_stranded(scheduler)
+                # A decode replica waits for a landing to re-poll it;
+                # its pool's finish() raises if none ever comes.
+                self.quiescent = True
+            return
+        self.peak_running = max(self.peak_running, len(scheduler.running))
+        if scheduler.prefix_cache is not None:
+            # Cold-tier hits owe a decompress stream before the first
+            # chunk of the admitted prompt runs; charge it with the
+            # admitting step.  Cache-off schedulers never enter (zero
+            # extra float ops on the bit-compat path).
+            delay_s = scheduler.consume_cache_delay()
+            if delay_s > 0.0:
+                if rec is not None:
+                    rec.span(self.clock, delay_s, "decompress", self.track)
+                self.clock += delay_s
+                self.busy_s += delay_s
+        step_s = self.costs.mixed_step(
+            len(plan.decode),
+            max(plan.mean_decode_ctx, 1),
+            plan.n_prefill_seqs,
+            plan.n_prefill_tokens,
+        ).total_s
+        # Only bucketed costs fast-forward (exact costs price every step
+        # differently, so the window is one step and the horizon moot).
+        if self.config.cost_bucket > 0 and self._fast_forward(plan, step_s):
+            return
+        if rec is not None:
+            if self.prefill_only:
+                rec.span(self.clock, step_s, "prefill", self.track,
+                         args={"tokens": plan.n_prefill_tokens,
+                               "seqs": plan.n_prefill_seqs})
+            else:
+                rec.span(self.clock, step_s, "step", self.track,
+                         args={"decode": len(plan.decode),
+                               "prefill_tokens": plan.n_prefill_tokens})
+        self.clock += step_s
+        self.busy_s += step_s
+        self.n_steps += 1
+        scheduler.apply_step(plan, self.clock)
+        self._after_commit()
+        if rec is not None:
+            rec.sample_engine(self.track, self.clock, scheduler)
+
+    def _fast_forward(self, plan, step_s: float) -> bool:
+        """Commit a multi-step decode window if one is legal."""
+        bucket = self.config.cost_bucket
+        next_event = self.pending[0][0] if self.pending else None
+        if self.horizon is not None:
+            h = self.horizon()
+            if h is not None and (next_event is None or h < next_event):
+                next_event = h
+        k = decode_window_len(
+            self.scheduler, plan, next_event, self.clock, step_s, bucket
+        )
+        if k <= 1:
+            return False
+        win_start = self.clock
+        self.clock, segments = run_decode_window(
+            self.scheduler, self.costs, plan, next_event, self.clock,
+            bucket, step_s, k,
+            preemption=self.config.preemption,
+            on_segment=self._after_commit,
+        )
+        for seg_s, ki in segments:
+            self.busy_s += seg_s * ki
+            self.n_steps += ki
+        rec = self._rec
+        if rec is not None:
+            # Reconstruct the fast-forwarded window as spans after the
+            # fact — the hot loop itself stays untouched.
+            t = win_start
+            for seg_s, ki in segments:
+                rec.span(t, seg_s * ki, "decode", self.track,
+                         args={"steps": ki, "batch": len(plan.decode)})
+                t += seg_s * ki
+            rec.sample_engine(self.track, self.clock, self.scheduler)
+        return True
+
+
+class ColocatedStage(ReplicaEngine, Stage):
     """The colocated engine as one event-kernel stage.
 
-    Each :meth:`advance` performs exactly one iteration of the
-    historical ``ServingCore`` clock loop (group or chunked body), so
-    running it under :class:`~repro.serving.kernel.EventKernel` emits
-    the same float operations in the same order as the pre-kernel
-    hand-rolled ``while`` loop — the bit-compatibility contract of
-    ``run_continuous`` and ``mode="colocated"`` survives the refactor
-    untouched.  As the only stage in its topology, its next event is
-    trivially its own clock.
+    Chunked prefill runs the shared :class:`ReplicaEngine` step; group
+    prefill keeps the seed-compatible whole-prompt body.  Each
+    :meth:`advance` performs exactly one iteration of the historical
+    ``ServingCore`` clock loop, so running it under
+    :class:`~repro.serving.kernel.EventKernel` emits the same float
+    operations in the same order as the pre-kernel hand-rolled ``while``
+    loop — the bit-compatibility contract of ``run_continuous`` and
+    ``mode="colocated"``.  As the only stage in its topology, its next
+    event is trivially its own clock.  ``pending`` is sorted by
+    ``(arrival_s, request_id)``; a fleet sets ``horizon`` to the
+    router's next undelivered arrival.
     """
 
     name = "engine"
@@ -473,44 +671,14 @@ class ColocatedStage(Stage):
         pending: list[Request],
         config: ServingConfig,
         recorder=None,
+        name: str | None = None,
     ):
-        self.costs = costs
-        self.scheduler = scheduler
-        self.pending = pending
-        self.config = config
-        #: Optional :class:`~repro.serving.telemetry.TraceRecorder`;
-        #: also attached to the scheduler so admission/finish events
-        #: carry sim time.  ``None`` leaves every body untouched but
-        #: for dead ``is None`` checks.
-        self._rec = recorder
-        if recorder is not None:
-            scheduler.telemetry = recorder
-            scheduler.track = self.name
-        self.clock = 0.0
-        self.n_steps = 0
-        self.peak_running = 0
-        #: Accumulated compute time and peak KV occupancy — the
-        #: per-replica ``PoolStats`` signals a fleet reports; pure
-        #: accounting, never consulted by the clock arithmetic.
-        self.busy_s = 0.0
-        self.peak_kv_frac = 0.0
-        #: Optional external fast-forward horizon (set by the fleet
-        #: layer): a side-effect-free callable returning the next event
-        #: this stage cannot see — the router's next undelivered
-        #: arrival.  A decode window may not overshoot it.  ``None``
-        #: (default) keeps the single-engine behaviour bit-exactly.
-        self.horizon = None
-        self._body = (
-            self._advance_group if config.prefill_mode == "group"
-            else self._advance_chunked
-        )
-
-    # ------------------------------------------------------------------
-    def _sample_kv(self) -> None:
-        kv = self.scheduler.kv
-        frac = kv.used_blocks / kv.n_blocks
-        if frac > self.peak_kv_frac:
-            self.peak_kv_frac = frac
+        if name is not None:
+            self.name = name
+        super().__init__(scheduler, costs, config, self.name, recorder)
+        # A sorted list is already a valid heap.
+        self.pending = [(r.arrival_s, r.request_id, r) for r in pending]
+        self._group = config.prefill_mode == "group"
 
     # ------------------------------------------------------------------
     def next_event_time(self) -> float | None:
@@ -519,7 +687,10 @@ class ColocatedStage(Stage):
         return self.clock
 
     def advance(self, now: float) -> None:
-        self._body()
+        if self._group:
+            self._advance_group()
+        else:
+            self.step(now)
 
     # ------------------------------------------------------------------
     def _advance_group(self) -> None:
@@ -528,9 +699,8 @@ class ColocatedStage(Stage):
         rec = self._rec
         if rec is not None:
             scheduler._now = self.clock
-            scheduler.track = self.name
-        while pending and pending[0].arrival_s <= self.clock:
-            scheduler.submit(pending.pop(0))
+        while pending and pending[0][0] <= self.clock:
+            scheduler.submit(heapq.heappop(pending)[2])
         admitted = scheduler.admit()
         if admitted:
             prompt = max(r.prefill_remaining for r in admitted)
@@ -548,7 +718,7 @@ class ColocatedStage(Stage):
                     rec.transition(req, self.clock, "decode")
         if not scheduler.running:
             if pending:
-                self.clock = max(self.clock, pending[0].arrival_s)
+                self.clock = max(self.clock, pending[0][0])
                 return
             if scheduler.has_work:
                 _raise_stranded(scheduler)
@@ -580,91 +750,187 @@ class ColocatedStage(Stage):
         if rec is not None:
             rec.sample_engine(self.name, self.clock, scheduler)
 
-    # ------------------------------------------------------------------
-    def _advance_chunked(self) -> None:
-        """One iteration of the chunked-prefill co-scheduling loop."""
-        scheduler, pending = self.scheduler, self.pending
-        rec = self._rec
-        if rec is not None:
-            scheduler._now = self.clock
-            scheduler.track = self.name
-        while pending and pending[0].arrival_s <= self.clock:
-            scheduler.submit(pending.pop(0))
-        scheduler.admit(enforce_token_budget=False)
-        plan = scheduler.plan_step()
-        if self.config.preemption and plan.decode:
-            victims = scheduler.ensure_decode_capacity(plan.decode)
-            if victims:
-                plan.drop(victims)
-        if plan.empty:
-            if pending:
-                self.clock = max(self.clock, pending[0].arrival_s)
-                return
-            if scheduler.has_work:
-                _raise_stranded(scheduler)
-            return
-        self.peak_running = max(self.peak_running, len(scheduler.running))
-        if scheduler.prefix_cache is not None:
-            # Cold-tier hits owe a decompress stream before the first
-            # chunk of the admitted prompt runs; charge it with the
-            # admitting step.  Cache-off schedulers never enter (zero
-            # extra float ops on the bit-compat path).
-            delay_s = scheduler.consume_cache_delay()
-            if delay_s > 0.0:
-                if rec is not None:
-                    rec.span(self.clock, delay_s, "decompress", self.name)
-                self.clock += delay_s
-                self.busy_s += delay_s
-        breakdown = self.costs.mixed_step(
-            len(plan.decode),
-            max(plan.mean_decode_ctx, 1),
-            plan.n_prefill_seqs,
-            plan.n_prefill_tokens,
+
+class _SignalKVCache(PagedKVCache):
+    """A KV cache that retires router block commitments on allocation.
+
+    The router commits a request's landing footprint at the routing
+    instant (so ``least_kv_occupancy`` sees queued work before any KV
+    is allocated); the first real allocation for that sequence retires
+    the commitment — after which the live block table carries the
+    signal.  Re-allocations after preemption find nothing to retire.
+    """
+
+    def __init__(self, spec, capacity_bytes, on_allocate) -> None:
+        super().__init__(spec, capacity_bytes)
+        self._on_allocate = on_allocate
+
+    def allocate(self, seq_id: int, n_tokens: int) -> None:
+        self._on_allocate(seq_id)
+        super().allocate(seq_id, n_tokens)
+
+
+class _ColocatedReplica:
+    """A colocated topology: one engine stage with its own KV and cache.
+
+    The only assembly of the colocated topology: :class:`ServingCore`
+    runs one standalone (``index=None``: stage ``engine``), and a fleet
+    runs one per replica (stage ``engine[i]``) behind its router.
+    """
+
+    mode = "colocated"
+
+    def __init__(
+        self,
+        index: int | None,
+        costs: StepCostModel,
+        kv_spec: KVCacheSpec,
+        kv_bytes: float,
+        config: ServingConfig,
+        recorder=None,
+    ):
+        self.index = index
+        self.config = config
+        # Each replica carves a *private* prefix cache out of its own
+        # KV budget — sessions only hit where their finished turns
+        # landed, which is what makes routing policy show up in fleet
+        # hit rates.
+        self.prefix_cache, batch_bytes = build_prefix_cache(
+            config, kv_spec, kv_bytes, costs
         )
-        next_event = pending[0].arrival_s if pending else None
-        if self.horizon is not None:
-            h = self.horizon()
-            if h is not None and (next_event is None or h < next_event):
-                next_event = h
-        k = decode_window_len(
-            scheduler, plan, next_event,
-            self.clock, breakdown.total_s, self.config.cost_bucket,
+        kv = _SignalKVCache(
+            kv_spec, batch_bytes, self._retire_commitment
         )
-        if k > 1:
-            win_start = self.clock
-            self.clock, segments = run_decode_window(
-                scheduler, self.costs, plan, next_event, self.clock,
-                self.config.cost_bucket, breakdown.total_s, k,
-                preemption=self.config.preemption,
-                on_segment=self._sample_kv,
-            )
-            for step_s, ki in segments:
-                self.busy_s += step_s * ki
-                self.n_steps += ki
-            if rec is not None:
-                # Reconstruct the fast-forwarded window as spans after
-                # the fact — the hot loop itself stays untouched.
-                t = win_start
-                for step_s, ki in segments:
-                    rec.span(t, step_s * ki, "decode", self.name,
-                             args={"steps": ki,
-                                   "batch": len(plan.decode)})
-                    t += step_s * ki
-                rec.sample_engine(self.name, self.clock, scheduler)
-        else:
-            if rec is not None:
-                rec.span(
-                    self.clock, breakdown.total_s, "step", self.name,
-                    args={"decode": len(plan.decode),
-                          "prefill_tokens": plan.n_prefill_tokens},
-                )
-            self.clock += breakdown.total_s
-            self.busy_s += breakdown.total_s
-            self.n_steps += 1
-            scheduler.apply_step(plan, self.clock)
-            self._sample_kv()
-            if rec is not None:
-                rec.sample_engine(self.name, self.clock, scheduler)
+        self.scheduler = ContinuousBatchScheduler(
+            kv, config.limits, config.policy,
+            prefix_cache=self.prefix_cache,
+        )
+        self.stage = ColocatedStage(
+            costs, self.scheduler, [], config, recorder=recorder,
+            name="engine" if index is None else f"engine[{index}]",
+        )
+        if recorder is not None and self.prefix_cache is not None:
+            self.prefix_cache.telemetry = recorder
+            if index is not None:
+                # Fleet replicas get a cache lane each; a standalone
+                # engine keeps the cache's own track.
+                self.prefix_cache.track = f"{self.stage.name}/cache"
+        self._block_size = kv_spec.block_size
+        self._committed: dict[int, int] = {}
+        self._committed_blocks = 0
+        self.n_routed = 0
+        #: When this replica (became / will become) active; ``None`` =
+        #: standby or drained.  Set by the core and the autoscaler.
+        self.active_since: float | None = None
+
+    # -- router surface -------------------------------------------------
+    @property
+    def stages(self) -> tuple[Stage, ...]:
+        return (self.stage,)
+
+    @property
+    def entry_stage(self) -> Stage:
+        return self.stage
+
+    def attach_router(self, router) -> None:
+        self.stage.horizon = router.next_arrival_s
+
+    def is_active(self, now: float) -> bool:
+        return self.active_since is not None and self.active_since <= now
+
+    def deliver(self, req: Request) -> None:
+        heapq.heappush(
+            self.stage.pending, (req.arrival_s, req.request_id, req)
+        )
+        self.n_routed += 1
+        blocks = ceil_div(req.prompt_len, self._block_size)
+        self._committed[req.request_id] = blocks
+        self._committed_blocks += blocks
+
+    def _retire_commitment(self, seq_id: int) -> None:
+        blocks = self._committed.pop(seq_id, None)
+        if blocks is not None:
+            self._committed_blocks -= blocks
+
+    # -- routing signals ------------------------------------------------
+    @property
+    def n_outstanding(self) -> int:
+        return self.n_routed - len(self.scheduler.finished)
+
+    def kv_occupancy(self) -> float:
+        """Projected block occupancy: allocated + router-committed."""
+        kv = self.scheduler.kv
+        return (kv.used_blocks + self._committed_blocks) / max(
+            kv.n_blocks, 1
+        )
+
+    stall_s = 0.0
+
+    # -- result surface -------------------------------------------------
+    @property
+    def finished(self) -> list[Request]:
+        return self.scheduler.finished
+
+    def unfinished(self) -> list[Request]:
+        """Requests still pending, waiting or running, in queue order."""
+        return (
+            [req for _, _, req in sorted(self.stage.pending)]
+            + self.scheduler.waiting + self.scheduler.running
+        )
+
+    @property
+    def clock_s(self) -> float:
+        return self.stage.clock
+
+    @property
+    def n_steps(self) -> int:
+        return self.stage.n_steps
+
+    @property
+    def peak_running(self) -> int:
+        return self.stage.peak_running
+
+    @property
+    def n_preemptions(self) -> int:
+        return self.scheduler.n_preemptions
+
+    def cache_stats(self) -> list[PrefixCacheStats]:
+        if self.prefix_cache is None:
+            return []
+        return [self.prefix_cache.stats()]
+
+    def stats(self, makespan_s: float) -> ReplicaStats:
+        pool = PoolStats.from_busy(
+            f"replica{self.index}/engine", [self.stage.busy_s],
+            makespan_s, n_steps=self.stage.n_steps,
+            peak_kv_frac=self.stage.peak_kv_frac,
+        )
+        return ReplicaStats(
+            index=self.index,
+            mode=self.mode,
+            n_routed=self.n_routed,
+            n_finished=len(self.finished),
+            n_unfinished=self.n_outstanding,
+            pools=(pool,),
+        )
+
+
+def run_topology(replica, requests: list[Request], recorder,
+                 deadline_s: float | None) -> None:
+    """Deliver a whole trace to one standalone topology and run it."""
+    for req in sorted(requests, key=lambda r: (r.arrival_s, r.request_id)):
+        replica.deliver(req)
+        if recorder is not None:
+            recorder.on_arrival(req, track=replica.entry_stage.name)
+    EventKernel(list(replica.stages), recorder=recorder).run(
+        until=deadline_s
+    )
+
+
+def merged_cache_stats(replicas) -> PrefixCacheStats | None:
+    """Every replica's prefix-cache counters summed (``None`` if none)."""
+    stats = [s for replica in replicas for s in replica.cache_stats()]
+    return PrefixCacheStats.merge(stats) if stats else None
 
 
 class ServingCore:
@@ -712,40 +978,23 @@ class ServingCore:
         if not requests:
             raise ConfigError("serve needs at least one request")
         rec = build_recorder(self.config.telemetry)
-        cache, batch_bytes = build_prefix_cache(
-            self.config, self.kv_spec, self.kv_bytes, self.costs
+        replica = _ColocatedReplica(
+            None, self.costs, self.kv_spec, self.kv_bytes, self.config,
+            recorder=rec,
         )
-        if rec is not None and cache is not None:
-            cache.telemetry = rec
-        kv = PagedKVCache(self.kv_spec, batch_bytes)
-        scheduler = ContinuousBatchScheduler(
-            kv, self.config.limits, self.config.policy,
-            prefix_cache=cache,
-        )
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        if rec is not None:
-            for req in pending:
-                rec.on_arrival(req, track="engine")
-        stage = ColocatedStage(
-            self.costs, scheduler, pending, self.config, recorder=rec
-        )
-        EventKernel([stage], recorder=rec).run(until=deadline_s)
-        unfinished = (
-            list(stage.pending) + list(scheduler.waiting)
-            + list(scheduler.running)
-        )
+        run_topology(replica, requests, rec, deadline_s)
         return ContinuousResult.from_run(
-            scheduler.finished,
-            makespan_s=stage.clock,
-            n_steps=stage.n_steps,
-            peak_running=stage.peak_running,
+            replica.finished,
+            makespan_s=replica.clock_s,
+            n_steps=replica.n_steps,
+            peak_running=replica.peak_running,
             slo=self.config.slo,
-            n_preemptions=scheduler.n_preemptions,
-            policy=scheduler.policy.name,
+            n_preemptions=replica.n_preemptions,
+            policy=replica.scheduler.policy.name,
             prefill_mode=self.config.prefill_mode,
-            unfinished=unfinished,
+            unfinished=replica.unfinished(),
             deadline_s=deadline_s,
-            prefix_cache=cache.stats() if cache is not None else None,
+            prefix_cache=merged_cache_stats([replica]),
             telemetry=rec,
         )
 
@@ -760,7 +1009,7 @@ def decode_window_len(
 ) -> int:
     """Steps the current decode-only plan can repeat unchanged.
 
-    Shared by the colocated core and the disaggregated decode replicas.
+    Called once per :meth:`ReplicaEngine.step` under bucketed costs.
     Only meaningful with bucketed costs (``bucket > 0``): inside a
     context bucket every decode step of a stable batch prices
     identically, so a loop may advance ``k`` steps in one shot.  The

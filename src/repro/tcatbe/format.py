@@ -189,11 +189,6 @@ class TcaTbeMatrix:
         return 2 * self.n_elements
 
     @property
-    def padded_original_nbytes(self) -> int:
-        """Uncompressed footprint of the padded matrix."""
-        return 2 * self.n_padded_elements
-
-    @property
     def ratio(self) -> float:
         """Compression ratio (original bytes / compressed bytes)."""
         return self.original_nbytes / self.compressed_nbytes

@@ -12,8 +12,8 @@ The invariants that make a fleet simulation trustworthy:
   as long as that replica exists;
 * **safety** — the autoscaler never drains a replica with in-flight
   work, and scale-ups respect the warm-up delay;
-* **equivalence** — a 1-replica round-robin fleet is the colocated
-  engine, bit for bit.
+* **equivalence** — a 1-replica round-robin fleet is the colocated or
+  disaggregated engine it wraps, bit for bit.
 """
 
 import pytest
@@ -183,24 +183,50 @@ class TestRouting:
         assert len(homes) >= 2
         assert result.n_requests == len(requests)
 
-    def test_one_replica_fleet_is_the_colocated_engine(self, engine):
-        """``n_replicas=1`` reproduces colocated serving bit for bit."""
+    @pytest.mark.parametrize("instance", [
+        None,
+        *(
+            ServingConfig(
+                mode="disaggregated", prefill_mode="chunked",
+                cost_bucket=bucket, limits=LIMITS,
+                disagg=DisaggConfig(
+                    decode_replicas=2, transfer_codec="kvcomp",
+                    link_gb_per_s=2.0, prefill_mode=pool,
+                ),
+            )
+            # Bucketed costs with group prefill are left out: there the
+            # router's next arrival also caps decode windows, which moves
+            # the makespan in its last ulp.
+            for pool, bucket in (("group", 0), ("chunked", 0),
+                                 ("chunked", 64))
+        ),
+    ], ids=["colocated", "disagg-group", "disagg-chunked",
+            "disagg-chunked-bucket64"])
+    def test_one_replica_fleet_is_the_colocated_engine(self, engine, instance):
+        """``n_replicas=1`` reproduces the single core bit for bit."""
         trace = lambda: poisson_trace(150, 10.0, seed=5)  # noqa: E731
-        colocated = engine.serve(
-            trace(),
-            config=ServingConfig(
+        if instance is None:
+            single_config = ServingConfig(
                 prefill_mode="chunked", cost_bucket=64, limits=LIMITS
-            ),
-        )
-        fleet = engine.serve(trace(), config=fleet_config(n=1))
-        assert fleet.makespan_s == colocated.makespan_s
+            )
+            config = fleet_config(n=1)
+        else:
+            single_config = instance
+            config = ServingConfig(
+                mode="fleet", prefill_mode="chunked",
+                cost_bucket=instance.cost_bucket, limits=LIMITS,
+                fleet=FleetConfig(n_replicas=1, instance=instance),
+            )
+        single = engine.serve(trace(), config=single_config)
+        fleet = engine.serve(trace(), config=config)
+        assert fleet.makespan_s == single.makespan_s
         # The fleet result sorts finished requests by id; the timings
         # themselves (every float) must match bit for bit.
         key = lambda t: t.request_id  # noqa: E731
         assert sorted(fleet.timings, key=key) == sorted(
-            colocated.timings, key=key
+            single.timings, key=key
         )
-        assert fleet.n_steps == colocated.n_steps
+        assert fleet.n_steps == single.n_steps
 
 
 # ----------------------------------------------------------------------

@@ -220,7 +220,10 @@ class TestBitCompatMatrix:
     sequential implementation (stage-by-stage disaggregated simulation,
     hand-rolled colocated loops) on the deterministic FlatCostModel
     trace above.  Equality below is ``==`` on floats — bit-exact, not
-    approximate.
+    approximate.  The ``disagg-chunked`` keys pin the chunked prefill
+    pool (``DisaggConfig(prefill_mode="chunked")``); they were recorded
+    later, from the per-stage step bodies the shared replica engine
+    replaced.
     """
 
     @pytest.mark.parametrize("key", sorted(GOLDENS))
@@ -233,13 +236,14 @@ class TestBitCompatMatrix:
                 FlatCostModel(), SPEC, GOLDEN_KV_BYTES, config
             )
         else:
+            pool_mode = "chunked" if mode == "disagg-chunked" else "group"
             config = ServingConfig(
                 policy=policy, prefill_mode=prefill_mode,
                 mode="disaggregated",
                 disagg=DisaggConfig(
                     prefill_replicas=1, decode_replicas=2,
                     link_gb_per_s=1e-6, link_latency_s=1e-3,
-                    transfer_codec=codec,
+                    transfer_codec=codec, prefill_mode=pool_mode,
                 ),
             )
             core = DisaggregatedCore(
