@@ -73,7 +73,6 @@ from .costs import StepCostModel, maybe_memoize
 from .kernel import Stage
 from .kvcache import KVCacheSpec, PagedKVCache
 from .metrics import (
-    ContinuousResult,
     PoolStats,
     ReplicaStats,
     TransferRecord,
@@ -85,11 +84,9 @@ from .serve import (
     ReplicaEngine,
     ServingConfig,
     _raise_stranded,
+    _ServeCore,
     build_prefix_cache,
-    merged_cache_stats,
-    run_topology,
 )
-from .telemetry import build_recorder
 
 __all__ = [
     "DisaggregatedCore",
@@ -144,6 +141,8 @@ class _BackpressureGate:
         backpressure,
         link: "TransferLinkStage",
         decode_pool: "DecodePoolStage",
+        recorder=None,
+        track: str = "prefill",
     ):
         self.backpressure = backpressure
         self.link = link
@@ -151,11 +150,9 @@ class _BackpressureGate:
         self.stall_s = 0.0
         self._stall_since: float | None = None
         #: Optional :class:`~repro.serving.telemetry.TraceRecorder` plus
-        #: the track stall events land on; the owning stage attaches
-        #: both (and the fleet layer re-points ``track`` after renaming
-        #: its stages).
-        self.recorder = None
-        self.track = "prefill"
+        #: the track stall events land on (the owning stage's name).
+        self.recorder = recorder
+        self.track = track
 
     def stalled(self, head: Request, t: float) -> bool:
         """Whether admitting ``head`` at time ``t`` must wait."""
@@ -187,18 +184,76 @@ class _BackpressureGate:
             self.recorder.on_stall_clear(now, self.track)
         return True
 
-    def raise_stranded(self, stranded_ids) -> None:
-        """Fail loudly for requests that were never prefilled."""
-        hint = (
-            " (backpressure watermark can never clear for them)"
-            if self.backpressure is not None else ""
+
+class _PrefillPool(Stage):
+    """The plumbing both prefill-pool flavours share.
+
+    Owns the arrival queue (``pending``, sorted by ``(arrival_s,
+    request_id)``), the backpressure-gate wiring, the in-flight heap of
+    finished prefills and their delivery to the link, ``stall_s`` and
+    the stranded check.  A flavour supplies its own ``advance`` and
+    ``next_event_time`` plus :meth:`queued` and :meth:`cache_stats`.
+    """
+
+    name = "prefill"
+
+    def __init__(
+        self,
+        requests: list[Request],
+        config: ServingConfig,
+        link: "TransferLinkStage",
+        decode_pool: "DecodePoolStage",
+        recorder=None,
+        name: str | None = None,
+    ):
+        if name is not None:
+            self.name = name
+        self.backpressure = config.disagg.backpressure
+        self.link = link
+        self.decode_pool = decode_pool
+        self.gate = _BackpressureGate(
+            self.backpressure, link, decode_pool, recorder, self.name
         )
-        raise CapacityError(
-            f"requests {sorted(stranded_ids)} were never prefilled{hint}"
+        self._rec = recorder
+        self.pending = sorted(
+            requests, key=lambda r: (r.arrival_s, r.request_id)
         )
+        #: (ready_s, request_id, request) — finished prefills not yet
+        #: delivered to the link.  A hand-off becomes ready at its
+        #: prefill's completion instant, which may lie beyond the current
+        #: kernel instant; delivering early would inflate the link queue
+        #: the backpressure watermark reads.
+        self._inflight: list[tuple[float, int, Request]] = []
+
+    def _deliver_inflight(self, now: float) -> None:
+        """Hand every prefill finished by ``now`` to the link (first in
+        each advance: a hand-off due at ``now`` must be visible to the
+        link within this instant)."""
+        while self._inflight and self._inflight[0][0] <= now:
+            ready, _, req = heapq.heappop(self._inflight)
+            self.link.enqueue(ready, req)
+
+    def cache_stats(self) -> list[PrefixCacheStats]:
+        """Per-replica prefix-cache counters (empty when cache off)."""
+        return []
+
+    @property
+    def stall_s(self) -> float:
+        return self.gate.stall_s
+
+    def finish(self) -> None:
+        stranded = sorted(r.request_id for r in self.queued())
+        if stranded:
+            hint = (
+                " (backpressure watermark can never clear for them)"
+                if self.backpressure is not None else ""
+            )
+            raise CapacityError(
+                f"requests {stranded} were never prefilled{hint}"
+            )
 
 
-class PrefillPoolStage(Stage):
+class PrefillPoolStage(_PrefillPool):
     """Whole-prompt prefill pool: one policy-ordered queue, N replicas.
 
     Each prefill-start decision replays the sequential pool's arithmetic
@@ -215,8 +270,6 @@ class PrefillPoolStage(Stage):
     what keeps the link's queue depth an honest backpressure signal.
     """
 
-    name = "prefill"
-
     def __init__(
         self,
         requests: list[Request],
@@ -227,35 +280,21 @@ class PrefillPoolStage(Stage):
         recorder=None,
         name: str | None = None,
     ):
-        if name is not None:
-            self.name = name
-        disagg = config.disagg
+        super().__init__(
+            requests, config, link, decode_pool, recorder, name
+        )
         self.costs = costs
         self.policy = get_policy(config.policy)
-        self.backpressure = disagg.backpressure
-        self.link = link
-        self.decode_pool = decode_pool
-        self.gate = _BackpressureGate(disagg.backpressure, link, decode_pool)
-        self._rec = recorder
-        if recorder is not None:
-            self.gate.recorder = recorder
-            self.gate.track = self.name
-        n = disagg.prefill_replicas
+        n = config.disagg.prefill_replicas
         self._free: list[tuple[float, int]] = [(0.0, i) for i in range(n)]
         heapq.heapify(self._free)
         self.busy = [0.0] * n
-        self.pending = sorted(
-            requests, key=lambda r: (r.arrival_s, r.request_id)
-        )
         self.waiting: list[Request] = []
-        #: (done_s, request_id, request) — prefills on a replica now.
-        self._inflight: list[tuple[float, int, Request]] = []
         self.n_prefills = 0
         #: Starts may never predate the instant a stall cleared.
         self._floor = 0.0
-        self._head_cache: tuple[tuple[float, int, int], Request] | None = (
-            None
-        )
+        #: ((t, len(waiting), len(pending)), head) of the last peek.
+        self._head_cache: tuple[tuple, Request] | None = None
 
     # ------------------------------------------------------------------
     def _next_start_time(self) -> float | None:
@@ -295,18 +334,11 @@ class PrefillPoolStage(Stage):
             and self.gate.stalled(self._peek_head(t_start), t_start)
         ):
             t_start = None
-        if t_done is None:
-            return t_start
-        if t_start is None:
-            return t_done
-        return min(t_done, t_start)
+        times = [t for t in (t_done, t_start) if t is not None]
+        return min(times) if times else None
 
     def advance(self, now: float) -> None:
-        # Deliver completed prefills to the link first: a hand-off due
-        # at `now` must be visible to the link within this instant.
-        while self._inflight and self._inflight[0][0] <= now:
-            done, _, req = heapq.heappop(self._inflight)
-            self.link.enqueue(done, req)
+        self._deliver_inflight(now)
         # Then make every start decision due at `now`.
         while True:
             t = self._next_start_time()
@@ -353,18 +385,12 @@ class PrefillPoolStage(Stage):
         self.decode_pool.commit_blocks(req)
         heapq.heappush(self._free, (done, idx))
 
-    @property
-    def stall_s(self) -> float:
-        return self.gate.stall_s
-
-    def finish(self) -> None:
-        if self.pending or self.waiting:
-            self.gate.raise_stranded(
-                r.request_id for r in self.pending + self.waiting
-            )
+    def queued(self) -> list[Request]:
+        """Requests routed here whose KV is not yet committed downstream."""
+        return self.pending + self.waiting
 
 
-class ChunkedPrefillPoolStage(Stage):
+class ChunkedPrefillPoolStage(_PrefillPool):
     """Chunked prefill pool: each replica co-schedules prompt chunks.
 
     Selected by ``DisaggConfig(prefill_mode="chunked")``.  Arrivals are
@@ -386,8 +412,6 @@ class ChunkedPrefillPoolStage(Stage):
     watermark holds per request, exactly as in the group pool.
     """
 
-    name = "prefill"
-
     def __init__(
         self,
         requests: list[Request],
@@ -400,18 +424,9 @@ class ChunkedPrefillPoolStage(Stage):
         recorder=None,
         name: str | None = None,
     ):
-        if name is not None:
-            self.name = name
-        self.backpressure = config.disagg.backpressure
-        self.link = link
-        self.decode_pool = decode_pool
-        self.gate = _BackpressureGate(
-            config.disagg.backpressure, link, decode_pool
+        super().__init__(
+            requests, config, link, decode_pool, recorder, name
         )
-        self._rec = recorder
-        if recorder is not None:
-            self.gate.recorder = recorder
-            self.gate.track = self.name
         self.replicas: list[ReplicaEngine] = []
         for i in range(config.disagg.prefill_replicas):
             cache, batch_bytes = build_prefix_cache(
@@ -432,15 +447,6 @@ class ChunkedPrefillPoolStage(Stage):
             ))
         #: Prompt tokens dispatched to each replica and not yet shipped.
         self._outstanding = [0] * len(self.replicas)
-        self.pending = sorted(
-            requests, key=lambda r: (r.arrival_s, r.request_id)
-        )
-        #: (ready_s, request_id, request) — chunk-complete hand-offs not
-        #: yet delivered to the link (a step's hand-off becomes ready at
-        #: the post-step clock, which may lie beyond the current kernel
-        #: instant — delivering early would inflate the link queue the
-        #: backpressure watermark reads).
-        self._inflight: list[tuple[float, int, Request]] = []
 
     # ------------------------------------------------------------------
     def _replica_event(self, replica: ReplicaEngine) -> float | None:
@@ -469,9 +475,7 @@ class ChunkedPrefillPoolStage(Stage):
         return min(times) if times else None
 
     def advance(self, now: float) -> None:
-        while self._inflight and self._inflight[0][0] <= now:
-            ready, _, req = heapq.heappop(self._inflight)
-            self.link.enqueue(ready, req)
+        self._deliver_inflight(now)
         while self.pending and self.pending[0].arrival_s <= now:
             req = self.pending.pop(0)
             target = min(
@@ -543,21 +547,13 @@ class ChunkedPrefillPoolStage(Stage):
                 self._inflight, (replica.clock, req.request_id, req)
             )
 
-    def finish(self) -> None:
-        stranded = [r.request_id for r in self.pending] + [
-            r.request_id
-            for replica in self.replicas
-            for r in (
-                replica.scheduler.waiting
-                + [req for _, _, req in replica.pending]
-            )
-        ]
-        if stranded:
-            self.gate.raise_stranded(stranded)
-
-    @property
-    def stall_s(self) -> float:
-        return self.gate.stall_s
+    def queued(self) -> list[Request]:
+        """Requests routed here whose KV is not yet committed downstream."""
+        queued = list(self.pending)
+        for replica in self.replicas:
+            queued += [req for _, _, req in replica.pending]
+            queued += replica.scheduler.waiting
+        return queued
 
     @property
     def busy(self) -> list[float]:
@@ -568,7 +564,6 @@ class ChunkedPrefillPoolStage(Stage):
         return sum(r.n_steps for r in self.replicas)
 
     def cache_stats(self) -> list[PrefixCacheStats]:
-        """Per-replica prefix-cache counters (empty when cache off)."""
         return [
             r.scheduler.prefix_cache.stats()
             for r in self.replicas
@@ -891,8 +886,6 @@ class _DisaggReplica:
     per replica (stages ``prefill[i]``, ...) behind its router.
     """
 
-    mode = "disaggregated"
-
     def __init__(
         self,
         index: int | None,
@@ -914,9 +907,9 @@ class _DisaggReplica:
             config, kv_spec, self.transfer_ratio, self.decode_pool,
             recorder=recorder, name=f"transfer{suffix}",
         )
-        self._chunked = config.disagg.prefill_mode == "chunked"
-        if self._chunked:
-            self.prefill: Stage = ChunkedPrefillPoolStage(
+        self.prefill_mode = config.disagg.prefill_mode
+        if self.prefill_mode == "chunked":
+            self.prefill: _PrefillPool = ChunkedPrefillPoolStage(
                 [], costs, kv_spec, kv_bytes, config,
                 self.link, self.decode_pool, recorder=recorder,
                 name=f"prefill{suffix}",
@@ -956,17 +949,6 @@ class _DisaggReplica:
     def n_outstanding(self) -> int:
         return self.n_routed - self.n_finished
 
-    def _queued_requests(self) -> list[Request]:
-        """Requests routed here whose KV is not yet committed downstream."""
-        queued = list(self.prefill.pending)
-        if self._chunked:
-            for rep in self.prefill.replicas:
-                queued += [r for _, _, r in rep.pending]
-                queued += list(rep.scheduler.waiting)
-        else:
-            queued += list(self.prefill.waiting)
-        return queued
-
     def kv_occupancy(self) -> float:
         """Projected decode-pool occupancy, queue included.
 
@@ -976,7 +958,7 @@ class _DisaggReplica:
         it is about to be.
         """
         extra = sum(
-            self.decode_pool.blocks_for(r) for r in self._queued_requests()
+            self.decode_pool.blocks_for(r) for r in self.prefill.queued()
         )
         return 1.0 - self.decode_pool.projected_free_frac(extra)
 
@@ -993,10 +975,18 @@ class _DisaggReplica:
 
     @property
     def finished(self) -> list[Request]:
-        out: list[Request] = []
-        for rep in self.decode_pool.replicas:
-            out.extend(rep.scheduler.finished)
+        """Requests decoded to completion, by request id."""
+        out = [
+            req for rep in self.decode_pool.replicas
+            for req in rep.scheduler.finished
+        ]
+        out.sort(key=lambda r: r.request_id)
         return out
+
+    def unfinished(self, requests: list[Request]) -> list[Request]:
+        """Requests not yet decoded to completion, in trace order."""
+        done = {r.request_id for r in self.finished}
+        return [r for r in requests if r.request_id not in done]
 
     @property
     def clock_s(self) -> float:
@@ -1024,8 +1014,7 @@ class _DisaggReplica:
         )
 
     def cache_stats(self) -> list[PrefixCacheStats]:
-        # Only the chunked prefill pool carries prefix caches.
-        return self.prefill.cache_stats() if self._chunked else []
+        return self.prefill.cache_stats()
 
     def stats(self, makespan_s: float) -> ReplicaStats:
         prefix = "" if self.index is None else f"replica{self.index}/"
@@ -1047,7 +1036,7 @@ class _DisaggReplica:
         )
         return ReplicaStats(
             index=self.index,
-            mode=self.mode,
+            mode="disaggregated",
             n_routed=self.n_routed,
             n_finished=self.n_finished,
             n_unfinished=self.n_outstanding,
@@ -1060,14 +1049,18 @@ class _DisaggReplica:
         )
 
 
-class DisaggregatedCore:
+class DisaggregatedCore(_ServeCore):
     """Two-pool serving: prefill pool → KV-transfer link → decode pool.
 
     Drop-in sibling of :class:`~repro.serving.serve.ServingCore` — same
     constructor shape, same :meth:`serve` contract — selected by
     ``ServingConfig(mode="disaggregated")``.  The result's ``pools`` and
-    ``transfer`` fields carry the disaggregation-specific accounting.
+    ``transfer`` fields carry the disaggregation-specific accounting,
+    ``prefill_mode`` reports the pool's ``DisaggConfig.prefill_mode``
+    (what actually ran) and ``timings`` come in request-id order.
     """
+
+    _replica_cls = _DisaggReplica
 
     def __init__(
         self,
@@ -1096,55 +1089,3 @@ class DisaggregatedCore:
         self.kv_bytes = kv_bytes
         self.policy = get_policy(self.config.policy)
         self.transfer_ratio = resolve_transfer_ratio(self.config)
-
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        requests: list[Request],
-        deadline_s: float | None = None,
-    ) -> ContinuousResult:
-        """Replay a trace through the three-stage kernel pipeline.
-
-        ``deadline_s`` bounds the simulation exactly as in
-        :meth:`~repro.serving.serve.ServingCore.serve`: the kernel stops
-        before the first event past it, and every request not yet
-        decoded to completion — still queued for prefill, on the wire,
-        or mid-decode — is counted in ``n_unfinished`` (with partial
-        timings where a first token exists) instead of raising the
-        stranded-work invariant.  ``None`` keeps run-to-completion
-        behaviour bit-exactly.
-        """
-        if not requests:
-            raise ConfigError("serve needs at least one request")
-        rec = build_recorder(self.config.telemetry)
-        replica = _DisaggReplica(
-            None, self.costs, self.kv_spec, self.kv_bytes, self.config,
-            recorder=rec,
-        )
-        run_topology(replica, requests, rec, deadline_s)
-        finished = sorted(replica.finished, key=lambda r: r.request_id)
-        finished_ids = {r.request_id for r in finished}
-        makespan = replica.clock_s
-        stats = replica.stats(makespan)
-        return ContinuousResult.from_run(
-            finished,
-            makespan_s=makespan,
-            n_steps=replica.n_steps,
-            peak_running=replica.peak_running,
-            slo=self.config.slo,
-            n_preemptions=replica.n_preemptions,
-            policy=self.policy.name,
-            # The pool runs whatever DisaggConfig.prefill_mode says —
-            # the (colocated-only) ServingConfig.prefill_mode does not
-            # reshape it; report what actually happened.
-            prefill_mode=self.config.disagg.prefill_mode,
-            mode="disaggregated",
-            pools=stats.pools,
-            transfer=stats.transfer,
-            unfinished=[
-                r for r in requests if r.request_id not in finished_ids
-            ],
-            deadline_s=deadline_s,
-            prefix_cache=merged_cache_stats([replica]),
-            telemetry=rec,
-        )

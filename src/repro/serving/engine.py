@@ -38,6 +38,8 @@ from ..gpu.specs import GpuSpec
 from ..utils import ceil_div
 from .backends import BackendConfig
 from .costs import EngineCostModel, StepBreakdown
+from .disagg import DisaggregatedCore
+from .fleet import FleetCore
 from .kvcache import CompressedKVCacheSpec, KVCacheSpec, PagedKVCache
 from .memory_plan import DEFAULT_GPU_MEM_UTIL, MemoryPlan, plan_memory
 from .metrics import ContinuousResult
@@ -55,6 +57,13 @@ __all__ = [
     "StepBreakdown",
     "ContinuousResult",
 ]
+
+#: The core each ``ServingConfig.mode`` runs on.
+_CORES = {
+    "colocated": ServingCore,
+    "disaggregated": DisaggregatedCore,
+    "fleet": FleetCore,
+}
 
 
 @dataclass
@@ -344,19 +353,7 @@ class InferenceEngine:
         config = (config or ServingConfig()).with_limits(limits)
         config, layer_specs = self._resolve_auto(config)
         costs, kv_spec, kv_bytes = self._codec_stack(config, layer_specs)
-        if config.mode == "disaggregated":
-            from .disagg import DisaggregatedCore
-
-            disagg_core = DisaggregatedCore(
-                costs, kv_spec, kv_bytes, config
-            )
-            return disagg_core.serve(requests, deadline_s=deadline_s)
-        if config.mode == "fleet":
-            from .fleet import FleetCore
-
-            fleet_core = FleetCore(costs, kv_spec, kv_bytes, config)
-            return fleet_core.serve(requests, deadline_s=deadline_s)
-        core = ServingCore(costs, kv_spec, kv_bytes, config)
+        core = _CORES[config.mode](costs, kv_spec, kv_bytes, config)
         return core.serve(requests, deadline_s=deadline_s)
 
     # ------------------------------------------------------------------

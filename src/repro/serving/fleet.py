@@ -50,13 +50,11 @@ from dataclasses import dataclass, replace
 from ..errors import ConfigError
 from .costs import StepCostModel, maybe_memoize
 from .disagg import _DisaggReplica
-from .kernel import EventKernel, Stage
+from .kernel import Stage
 from .kvcache import KVCacheSpec
-from .metrics import ContinuousResult
 from .router import RouterConfig, RouterStage, get_routing_policy
 from .scheduler import Request, get_policy
-from .serve import ServingConfig, _ColocatedReplica, merged_cache_stats
-from .telemetry import build_recorder
+from .serve import ServingConfig, _ColocatedReplica, _ServeCore
 
 __all__ = [
     "AutoscalerConfig",
@@ -355,12 +353,14 @@ class AutoscalerStage(Stage):
                     break
 
 
-class FleetCore:
+class FleetCore(_ServeCore):
     """Fleet serving: router → N replicas (+ autoscaler) on one kernel.
 
     Drop-in sibling of :class:`~repro.serving.serve.ServingCore` and
     :class:`~repro.serving.disagg.DisaggregatedCore` — same constructor
-    shape, same :meth:`serve` contract — selected by
+    shape, same :meth:`serve` contract (conservation holds by
+    construction, so :func:`~repro.serving.openloop.run_open_loop` and
+    ``find_knee`` drive a fleet unchanged) — selected by
     ``ServingConfig(mode="fleet")``.  The result reports ``mode="fleet"``
     with per-replica breakdowns on ``result.replicas`` (and their pools
     flattened into ``result.pools`` under ``replica<i>/...`` names).
@@ -390,7 +390,14 @@ class FleetCore:
         # the fleet warms one step-price cache, not one per replica.
         self._memoized: dict[int, StepCostModel] = {}
         self.last_router: RouterStage | None = None
-        self.scale_events: tuple[ScaleEvent, ...] = ()
+        self._autoscaler: AutoscalerStage | None = None
+
+    @property
+    def scale_events(self) -> tuple[ScaleEvent, ...]:
+        """The last run's autoscaler actions (empty without one)."""
+        if self._autoscaler is None:
+            return ()
+        return tuple(self._autoscaler.events)
 
     # ------------------------------------------------------------------
     def _costs_for(self, bucket: int) -> StepCostModel:
@@ -398,98 +405,34 @@ class FleetCore:
             self._memoized[bucket] = maybe_memoize(self.costs, bucket)
         return self._memoized[bucket]
 
-    def _build_replica(self, index: int, cfg: ServingConfig, recorder=None):
-        costs = self._costs_for(cfg.cost_bucket)
-        cls = (
-            _DisaggReplica if cfg.mode == "disaggregated"
-            else _ColocatedReplica
-        )
-        return cls(
-            index, costs, self.kv_spec, self.kv_bytes, cfg,
-            recorder=recorder,
-        )
-
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        requests: list[Request],
-        deadline_s: float | None = None,
-    ) -> ContinuousResult:
-        """Replay a trace through the fleet; same contract as the cores.
-
-        ``deadline_s`` bounds the simulation exactly as in the single
-        cores; conservation holds by construction —
-        ``n_requests + n_unfinished == n_offered`` — so
-        :func:`~repro.serving.openloop.run_open_loop` (and therefore
-        ``find_knee``) drives a fleet unchanged.
-        """
-        if not requests:
-            raise ConfigError("serve needs at least one request")
-        rec = build_recorder(self.config.telemetry)
+    def _assemble(self, requests: list[Request], recorder):
+        """The router in front of one adapter per instance config, the
+        first ``min_replicas`` active, plus the autoscaler if any."""
         fleet = self.config.fleet
-        instance_configs = fleet.resolve_instances(self.config)
-        replicas = [
-            self._build_replica(i, cfg, recorder=rec)
-            for i, cfg in enumerate(instance_configs)
-        ]
+        replicas = []
+        for i, cfg in enumerate(fleet.resolve_instances(self.config)):
+            cls = (
+                _DisaggReplica if cfg.mode == "disaggregated"
+                else _ColocatedReplica
+            )
+            replicas.append(cls(
+                i, self._costs_for(cfg.cost_bucket), self.kv_spec,
+                self.kv_bytes, cfg, recorder=recorder,
+            ))
         router = RouterStage(
             requests, fleet.routing, replicas, config=fleet.router,
-            recorder=rec,
+            recorder=recorder,
         )
-        if rec is not None:
-            for req in sorted(
-                requests, key=lambda r: (r.arrival_s, r.request_id)
-            ):
-                rec.on_arrival(req, track=router.name)
         n_active = len(replicas)
+        autoscaler = None
         if fleet.autoscaler is not None:
             n_active = min(fleet.autoscaler.min_replicas, len(replicas))
+            autoscaler = AutoscalerStage(
+                fleet.autoscaler, router, replicas, recorder=recorder
+            )
         for replica in replicas[:n_active]:
             replica.active_since = 0.0
         for replica in replicas:
             replica.attach_router(router)
-        stages: list[Stage] = [router]
-        for replica in replicas:
-            stages.extend(replica.stages)
-        autoscaler = None
-        if fleet.autoscaler is not None:
-            autoscaler = AutoscalerStage(
-                fleet.autoscaler, router, replicas, recorder=rec
-            )
-            stages.append(autoscaler)
-        EventKernel(stages, recorder=rec).run(until=deadline_s)
-        self.last_router = router
-        self.scale_events = (
-            tuple(autoscaler.events) if autoscaler is not None else ()
-        )
-
-        finished: list[Request] = []
-        for replica in replicas:
-            finished.extend(replica.finished)
-        finished.sort(key=lambda r: r.request_id)
-        done_ids = {r.request_id for r in finished}
-        done_ids.update(r.request_id for r in router.rejected)
-        unfinished = [
-            r for r in requests if r.request_id not in done_ids
-        ]
-        makespan = max((r.clock_s for r in replicas), default=0.0)
-        stats = tuple(r.stats(makespan) for r in replicas)
-        return ContinuousResult.from_run(
-            finished,
-            makespan_s=makespan,
-            n_steps=sum(r.n_steps for r in replicas),
-            peak_running=max((r.peak_running for r in replicas), default=0),
-            slo=self.config.slo,
-            n_preemptions=sum(r.n_preemptions for r in replicas),
-            policy=self.policy.name,
-            prefill_mode=self.config.prefill_mode,
-            mode="fleet",
-            pools=tuple(p for s in stats for p in s.pools),
-            unfinished=unfinished,
-            n_rejected=len(router.rejected),
-            deadline_s=deadline_s,
-            replicas=stats,
-            prefix_cache=merged_cache_stats(replicas),
-            scale_events=self.scale_events,
-            telemetry=rec,
-        )
+        self.last_router, self._autoscaler = router, autoscaler
+        return replicas, router, autoscaler

@@ -47,7 +47,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CapacityError, SchedulingError, UnknownSpecError
+from ..errors import (
+    CapacityError,
+    ConfigError,
+    SchedulingError,
+    UnknownSpecError,
+)
 from .kvcache import PagedKVCache
 
 
@@ -311,6 +316,12 @@ class SchedulerLimits:
 
     max_num_seqs: int = 256
     max_batched_tokens: int = 8192
+
+    def __post_init__(self) -> None:
+        for name in ("max_num_seqs", "max_batched_tokens"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass

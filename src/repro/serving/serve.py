@@ -19,19 +19,15 @@ Two prefill modes:
 Results carry the full metrics picture (TTFT/TPOT, interpolated
 percentiles, SLO goodput) via :mod:`repro.serving.metrics`.
 
-:class:`ServingConfig` is also where the **serving mode** is chosen:
-``mode="colocated"`` runs this module's single-engine loop, while
-``mode="disaggregated"`` routes through
-:class:`repro.serving.disagg.DisaggregatedCore` — a prefill pool and a
-decode pool joined by a KV-transfer link whose cost and codec live in
-:class:`DisaggConfig`.
-
-Both topologies run on the shared event kernel
-(:mod:`repro.serving.kernel`): the colocated loop is a single
+:class:`ServingConfig` also picks the **serving mode**: ``"colocated"``
+(:class:`ServingCore`), ``"disaggregated"``
+(:class:`repro.serving.disagg.DisaggregatedCore`: prefill pool → KV
+link → decode pool, configured by :class:`DisaggConfig`) or ``"fleet"``
+(:class:`repro.serving.fleet.FleetCore`).  All three share one serve
+path (:class:`_ServeCore`) on the event kernel
+(:mod:`repro.serving.kernel`); the colocated engine is a single
 :class:`~repro.serving.kernel.Stage` whose per-event body is exactly one
-iteration of the historical clock loop, so the kernel refactor moved no
-timestamps; the disaggregated topology is three cooperating stages with
-optional decode→prefill backpressure (:class:`BackpressureConfig`).
+iteration of the historical clock loop.
 
 Invariants this layer guarantees (tested in ``tests/test_serving_core.py``
 and ``tests/test_disagg.py``):
@@ -82,6 +78,7 @@ from .scheduler import (
     RequestState,
     SchedulerLimits,
     SchedulerPolicy,
+    get_policy,
 )
 from .telemetry import TelemetryConfig, build_recorder
 
@@ -538,6 +535,21 @@ class ReplicaEngine:
         self.scheduler.admit(enforce_token_budget=False)
         return False
 
+    def _charge_cache_delay(self) -> None:
+        """Charge cold-tier prefix hits their decompress stream.
+
+        Admission accrues the delay; the admitting step pays it before
+        the admitted prompt's first pass runs, so TTFT includes it.
+        Called only when the scheduler has a prefix cache (zero extra
+        float ops on the cache-off bit-compat path).
+        """
+        delay_s = self.scheduler.consume_cache_delay()
+        if delay_s > 0.0:
+            if self._rec is not None:
+                self._rec.span(self.clock, delay_s, "decompress", self.track)
+            self.clock += delay_s
+            self.busy_s += delay_s
+
     def _sample_kv(self) -> None:
         kv = self.scheduler.kv
         frac = kv.used_blocks / kv.n_blocks
@@ -573,16 +585,7 @@ class ReplicaEngine:
             return
         self.peak_running = max(self.peak_running, len(scheduler.running))
         if scheduler.prefix_cache is not None:
-            # Cold-tier hits owe a decompress stream before the first
-            # chunk of the admitted prompt runs; charge it with the
-            # admitting step.  Cache-off schedulers never enter (zero
-            # extra float ops on the bit-compat path).
-            delay_s = scheduler.consume_cache_delay()
-            if delay_s > 0.0:
-                if rec is not None:
-                    rec.span(self.clock, delay_s, "decompress", self.track)
-                self.clock += delay_s
-                self.busy_s += delay_s
+            self._charge_cache_delay()
         step_s = self.costs.mixed_step(
             len(plan.decode),
             max(plan.mean_decode_ctx, 1),
@@ -703,6 +706,8 @@ class ColocatedStage(ReplicaEngine, Stage):
             scheduler.submit(heapq.heappop(pending)[2])
         admitted = scheduler.admit()
         if admitted:
+            if scheduler.prefix_cache is not None:
+                self._charge_cache_delay()
             prompt = max(r.prefill_remaining for r in admitted)
             step_s = self.costs.prefill_step(len(admitted), prompt).total_s
             if rec is not None:
@@ -778,8 +783,6 @@ class _ColocatedReplica:
     runs one per replica (stage ``engine[i]``) behind its router.
     """
 
-    mode = "colocated"
-
     def __init__(
         self,
         index: int | None,
@@ -791,6 +794,7 @@ class _ColocatedReplica:
     ):
         self.index = index
         self.config = config
+        self.prefill_mode = config.prefill_mode
         # Each replica carves a *private* prefix cache out of its own
         # KV budget — sessions only hit where their finished turns
         # landed, which is what makes routing policy show up in fleet
@@ -871,8 +875,9 @@ class _ColocatedReplica:
     def finished(self) -> list[Request]:
         return self.scheduler.finished
 
-    def unfinished(self) -> list[Request]:
-        """Requests still pending, waiting or running, in queue order."""
+    def unfinished(self, requests: list[Request]) -> list[Request]:
+        """Requests still pending, waiting or running, in queue order
+        (read off the queues, so the trace itself is not consulted)."""
         return (
             [req for _, _, req in sorted(self.stage.pending)]
             + self.scheduler.waiting + self.scheduler.running
@@ -900,41 +905,126 @@ class _ColocatedReplica:
         return [self.prefix_cache.stats()]
 
     def stats(self, makespan_s: float) -> ReplicaStats:
-        pool = PoolStats.from_busy(
+        """Replica accounting; a standalone engine reports no pools."""
+        pools = () if self.index is None else (PoolStats.from_busy(
             f"replica{self.index}/engine", [self.stage.busy_s],
             makespan_s, n_steps=self.stage.n_steps,
             peak_kv_frac=self.stage.peak_kv_frac,
-        )
+        ),)
         return ReplicaStats(
             index=self.index,
-            mode=self.mode,
+            mode="colocated",
             n_routed=self.n_routed,
             n_finished=len(self.finished),
             n_unfinished=self.n_outstanding,
-            pools=(pool,),
+            pools=pools,
         )
 
 
-def run_topology(replica, requests: list[Request], recorder,
-                 deadline_s: float | None) -> None:
-    """Deliver a whole trace to one standalone topology and run it."""
-    for req in sorted(requests, key=lambda r: (r.arrival_s, r.request_id)):
-        replica.deliver(req)
-        if recorder is not None:
-            recorder.on_arrival(req, track=replica.entry_stage.name)
-    EventKernel(list(replica.stages), recorder=recorder).run(
-        until=deadline_s
-    )
+class _ServeCore:
+    """The one serve path of every core: assemble → run → collect.
+
+    :meth:`_assemble` builds one standalone adapter of ``_replica_cls``
+    (a fleet overrides it: a router in front of N adapters, plus an
+    optional autoscaler); :meth:`serve` runs it on one
+    :class:`~repro.serving.kernel.EventKernel` and collects one
+    :class:`ContinuousResult` from the adapters' result surface.  The
+    collector only asks whether a router fronts the replicas.
+    """
+
+    _replica_cls: type
+
+    def _assemble(self, requests: list[Request], recorder):
+        """``(replicas, router, autoscaler)`` for one run."""
+        replica = self._replica_cls(
+            None, self.costs, self.kv_spec, self.kv_bytes, self.config,
+            recorder=recorder,
+        )
+        return [replica], None, None
+
+    def serve(
+        self,
+        requests: list[Request],
+        deadline_s: float | None = None,
+    ) -> ContinuousResult:
+        """Replay a request trace; returns the full metrics picture.
+
+        ``deadline_s`` bounds the simulation: the kernel stops before
+        the first event past it, and everything not yet decoded to
+        completion — still queued, on the wire, or mid-decode — is
+        counted in the result's ``n_unfinished`` (with partial timings
+        for requests that produced a first token) instead of being
+        simulated to completion, so ``n_requests + n_unfinished +
+        n_rejected == n_offered``.  ``None`` (default) keeps the
+        historical run-to-completion behaviour bit-exactly — including
+        the stranded-request :class:`~repro.errors.CapacityError`,
+        which a deadline run skips (a backlog at the deadline is the
+        measured outcome, not a bug).
+        """
+        if not requests:
+            raise ConfigError("serve needs at least one request")
+        rec = build_recorder(self.config.telemetry)
+        replicas, router, autoscaler = self._assemble(requests, rec)
+        arrivals = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        stages = [stage for replica in replicas for stage in replica.stages]
+        if router is None:
+            (entry,) = replicas
+            for req in arrivals:
+                entry.deliver(req)
+            track = entry.entry_stage.name
+        else:
+            stages.insert(0, router)
+            track = router.name
+        if autoscaler is not None:
+            stages.append(autoscaler)
+        if rec is not None:
+            for req in arrivals:
+                rec.on_arrival(req, track=track)
+        EventKernel(stages, recorder=rec).run(until=deadline_s)
+
+        finished = [r for replica in replicas for r in replica.finished]
+        makespan = max(replica.clock_s for replica in replicas)
+        stats = tuple(replica.stats(makespan) for replica in replicas)
+        caches = [c for replica in replicas for c in replica.cache_stats()]
+        if router is None:
+            unfinished = entry.unfinished(requests)
+            prefill_mode = entry.prefill_mode
+            transfer, per_replica, rejected = stats[0].transfer, (), ()
+        else:
+            finished.sort(key=lambda r: r.request_id)
+            done = {r.request_id for r in finished}
+            done.update(r.request_id for r in router.rejected)
+            unfinished = [r for r in requests if r.request_id not in done]
+            prefill_mode = self.config.prefill_mode
+            transfer, per_replica, rejected = None, stats, router.rejected
+        return ContinuousResult.from_run(
+            finished,
+            makespan_s=makespan,
+            n_steps=sum(replica.n_steps for replica in replicas),
+            peak_running=max(replica.peak_running for replica in replicas),
+            slo=self.config.slo,
+            n_preemptions=sum(replica.n_preemptions for replica in replicas),
+            policy=get_policy(self.config.policy).name,
+            prefill_mode=prefill_mode,
+            mode=self.config.mode,
+            pools=tuple(pool for s in stats for pool in s.pools),
+            transfer=transfer,
+            unfinished=unfinished,
+            n_rejected=len(rejected),
+            deadline_s=deadline_s,
+            replicas=per_replica,
+            prefix_cache=PrefixCacheStats.merge(caches) if caches else None,
+            scale_events=(
+                tuple(autoscaler.events) if autoscaler is not None else ()
+            ),
+            telemetry=rec,
+        )
 
 
-def merged_cache_stats(replicas) -> PrefixCacheStats | None:
-    """Every replica's prefix-cache counters summed (``None`` if none)."""
-    stats = [s for replica in replicas for s in replica.cache_stats()]
-    return PrefixCacheStats.merge(stats) if stats else None
-
-
-class ServingCore:
+class ServingCore(_ServeCore):
     """Event-driven continuous-batching simulator (colocated topology)."""
+
+    _replica_cls = _ColocatedReplica
 
     def __init__(
         self,
@@ -956,47 +1046,6 @@ class ServingCore:
         self.costs = maybe_memoize(costs, self.config.cost_bucket)
         self.kv_spec = kv_spec
         self.kv_bytes = kv_bytes
-
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        requests: list[Request],
-        deadline_s: float | None = None,
-    ) -> ContinuousResult:
-        """Replay a request trace; returns the full metrics picture.
-
-        ``deadline_s`` bounds the simulation: the kernel stops before
-        the first event past it, and everything still pending, waiting
-        or running is counted in the result's ``n_unfinished`` (with
-        partial timings for requests that produced a first token)
-        instead of being simulated to completion.  ``None`` (default)
-        keeps the historical run-to-completion behaviour bit-exactly —
-        including the stranded-request :class:`~repro.errors.CapacityError`,
-        which a deadline run skips (a backlog at the deadline is the
-        measured outcome, not a bug).
-        """
-        if not requests:
-            raise ConfigError("serve needs at least one request")
-        rec = build_recorder(self.config.telemetry)
-        replica = _ColocatedReplica(
-            None, self.costs, self.kv_spec, self.kv_bytes, self.config,
-            recorder=rec,
-        )
-        run_topology(replica, requests, rec, deadline_s)
-        return ContinuousResult.from_run(
-            replica.finished,
-            makespan_s=replica.clock_s,
-            n_steps=replica.n_steps,
-            peak_running=replica.peak_running,
-            slo=self.config.slo,
-            n_preemptions=replica.n_preemptions,
-            policy=replica.scheduler.policy.name,
-            prefill_mode=self.config.prefill_mode,
-            unfinished=replica.unfinished(),
-            deadline_s=deadline_s,
-            prefix_cache=merged_cache_stats([replica]),
-            telemetry=rec,
-        )
 
 
 def decode_window_len(

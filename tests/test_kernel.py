@@ -20,6 +20,7 @@ Four contracts:
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,10 @@ import pytest
 from repro.errors import CapacityError, SchedulingError
 from repro.serving.costs import StepBreakdown
 from repro.serving.disagg import DisaggregatedCore
+from repro.serving.fleet import FleetConfig, FleetCore
 from repro.serving.kernel import EventKernel, Stage
 from repro.serving.kvcache import KVCacheSpec
+from repro.serving.router import RouterConfig
 from repro.serving.scheduler import Request
 from repro.serving.serve import (
     BackpressureConfig,
@@ -213,6 +216,48 @@ class TestEventKernel:
 # ----------------------------------------------------------------------
 # Bit-compatibility with the PR 3 sequential simulation
 # ----------------------------------------------------------------------
+def _golden_disagg(policy: str, codec: str, pool_mode: str):
+    return ServingConfig(
+        policy=policy, mode="disaggregated",
+        disagg=DisaggConfig(
+            prefill_replicas=1, decode_replicas=2,
+            link_gb_per_s=1e-6, link_latency_s=1e-3,
+            transfer_codec=codec, prefill_mode=pool_mode,
+        ),
+    )
+
+
+def golden_core(key: str):
+    """The core a golden key names: ``<topology>/<policy>/<wire codec>``.
+
+    ``fleet-*`` keys put two round-robin replicas of that topology behind
+    a router; ``fleet-deadline`` caps each replica's backlog at three
+    requests, so the router rejects some of the trace.
+    """
+    mode, policy, codec = key.split("/")
+    if mode.startswith("fleet"):
+        fleet = FleetConfig(n_replicas=2, routing="round_robin")
+        if mode == "fleet-disagg":
+            fleet = replace(
+                fleet, instance=_golden_disagg(policy, codec, "group")
+            )
+        elif mode == "fleet-deadline":
+            fleet = replace(
+                fleet, router=RouterConfig(max_outstanding_per_replica=3)
+            )
+        config = ServingConfig(policy=policy, mode="fleet", fleet=fleet)
+        return FleetCore(FlatCostModel(), SPEC, GOLDEN_KV_BYTES, config)
+    if mode.startswith("colocated"):
+        prefill_mode = "group" if mode == "colocated-group" else "chunked"
+        config = ServingConfig(policy=policy, prefill_mode=prefill_mode)
+        return ServingCore(FlatCostModel(), SPEC, GOLDEN_KV_BYTES, config)
+    pool_mode = "chunked" if mode == "disagg-chunked" else "group"
+    return DisaggregatedCore(
+        FlatCostModel(), SPEC, GOLDEN_KV_BYTES,
+        _golden_disagg(policy, codec, pool_mode),
+    )
+
+
 class TestBitCompatMatrix:
     """The kernel reproduces the recorded pre-kernel floats exactly.
 
@@ -223,39 +268,26 @@ class TestBitCompatMatrix:
     approximate.  The ``disagg-chunked`` keys pin the chunked prefill
     pool (``DisaggConfig(prefill_mode="chunked")``); they were recorded
     later, from the per-stage step bodies the shared replica engine
-    replaced.
+    replaced.  The ``fleet-*`` and ``*-deadline`` keys were recorded
+    from the per-core ``serve`` bodies the shared serve path replaced.
+    A key carrying ``deadline_s`` cuts the run there; its partial
+    timings pin the result's unfinished order (queue order colocated,
+    trace order disaggregated and fleet).
     """
 
     @pytest.mark.parametrize("key", sorted(GOLDENS))
     def test_reproduces_sequential_floats(self, key):
-        mode, policy, codec = key.split("/")
-        prefill_mode = "group" if mode == "colocated-group" else "chunked"
-        if mode.startswith("colocated"):
-            config = ServingConfig(policy=policy, prefill_mode=prefill_mode)
-            core = ServingCore(
-                FlatCostModel(), SPEC, GOLDEN_KV_BYTES, config
-            )
-        else:
-            pool_mode = "chunked" if mode == "disagg-chunked" else "group"
-            config = ServingConfig(
-                policy=policy, prefill_mode=prefill_mode,
-                mode="disaggregated",
-                disagg=DisaggConfig(
-                    prefill_replicas=1, decode_replicas=2,
-                    link_gb_per_s=1e-6, link_latency_s=1e-3,
-                    transfer_codec=codec, prefill_mode=pool_mode,
-                ),
-            )
-            core = DisaggregatedCore(
-                FlatCostModel(), SPEC, GOLDEN_KV_BYTES, config
-            )
-        result = core.serve(golden_reqs())
         want = GOLDENS[key]
+        result = golden_core(key).serve(
+            golden_reqs(), deadline_s=want.get("deadline_s")
+        )
         assert result.makespan_s == want["makespan_s"]
         assert result.n_steps == want["n_steps"]
         assert result.tokens_generated == want["tokens_generated"]
         assert result.peak_running == want["peak_running"]
         assert result.n_preemptions == want["n_preemptions"]
+        assert result.n_unfinished == want.get("n_unfinished", 0)
+        assert result.n_rejected == want.get("n_rejected", 0)
         got = [
             [t.request_id, t.first_token_s, t.finish_s]
             for t in result.timings

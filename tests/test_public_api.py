@@ -6,6 +6,16 @@ import inspect
 import pytest
 
 import repro
+from repro.serving.disagg import (
+    ChunkedPrefillPoolStage,
+    DecodePoolStage,
+    DisaggregatedCore,
+    PrefillPoolStage,
+    TransferLinkStage,
+)
+from repro.serving.fleet import FleetCore
+from repro.serving.router import RouterStage
+from repro.serving.serve import ColocatedStage, ServingCore
 
 PACKAGES = [
     "repro",
@@ -49,6 +59,34 @@ class TestPublicDocstrings:
                 if not (obj.__doc__ or "").strip():
                     undocumented.append(f"{package}.{name}")
         assert not undocumented, undocumented
+
+
+#: Methods the layer profiler (``perfbench/layers.py``) wraps through
+#: ``cls.__dict__[attr]``: each must live in that class's own body.
+OWN_METHODS = [
+    (ServingCore, "__init__"),
+    (DisaggregatedCore, "__init__"),
+    (FleetCore, "__init__"),
+    (ColocatedStage, "advance"),
+    (PrefillPoolStage, "advance"),
+    (ChunkedPrefillPoolStage, "advance"),
+    (TransferLinkStage, "advance"),
+    (DecodePoolStage, "advance"),
+    (RouterStage, "advance"),
+]
+
+
+class TestProfilerWrapContract:
+    """A method inherited from a shared base would make the traced
+    benchmark run fail with ``KeyError`` while every other test stays
+    green."""
+
+    @pytest.mark.parametrize(
+        "cls, attr", OWN_METHODS,
+        ids=[f"{cls.__name__}.{attr}" for cls, attr in OWN_METHODS],
+    )
+    def test_defined_in_own_class_body(self, cls, attr):
+        assert attr in vars(cls)
 
 
 class TestTopLevelWorkflow:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.serving.kvcache import KVCacheSpec, PagedKVCache
 from repro.serving.scheduler import (
     ContinuousBatchScheduler,
@@ -20,6 +20,14 @@ def make_kv(n_blocks: int = 256) -> PagedKVCache:
 
 def reqs(n: int, prompt: int = 16, out: int = 8) -> list[Request]:
     return [Request(i, prompt, out) for i in range(n)]
+
+
+class TestSchedulerLimits:
+    @pytest.mark.parametrize("field", ["max_num_seqs", "max_batched_tokens"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_values_below_one_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SchedulerLimits(**{field: value})
 
 
 class TestRequest:
@@ -225,7 +233,7 @@ class TestPolicies:
         assert policy.order_waiting([chat_early, batch_old])[0] is chat_early
 
     def test_aging_rate_validation(self):
-        from repro.errors import SchedulingError
+        from repro.errors import ConfigError, SchedulingError
         from repro.serving.scheduler import AgingPriorityPolicy
 
         with pytest.raises(SchedulingError):

@@ -10,6 +10,7 @@ from repro.serving.engine import InferenceEngine
 from repro.serving.kvcache import KVCacheSpec
 from repro.serving.metrics import SLOTarget
 from repro.serving.models import get_model
+from repro.serving.prefixcache import PrefixCacheConfig
 from repro.serving.scheduler import Request, SchedulerLimits
 from repro.serving.serve import ServingConfig, ServingCore
 
@@ -192,6 +193,47 @@ class TestFastForward:
         # Every priced entry is a decode/prefill mix: the dedicated
         # decode/prefill caches stay untouched by the serving core.
         assert info["decode"]["misses"] == 0
+
+
+def session_reqs(n_sessions: int = 4, n_turns: int = 3) -> list[Request]:
+    """Multi-turn sessions: each turn re-offers the previous context."""
+    out = []
+    context = [0] * n_sessions
+    for turn in range(n_turns):
+        for s in range(n_sessions):
+            prompt = context[s] + 32
+            out.append(Request(
+                len(out), prompt_len=prompt, max_new_tokens=4,
+                arrival_s=0.1 * turn + 0.001 * s,
+                session_id=s, prefix_tokens=context[s],
+            ))
+            context[s] = prompt + 4
+    return out
+
+
+class TestColdPrefixCharge:
+    """Compression that costs time costs time: cold-tier prefix hits
+    pay their decompress stream before the admitting pass, in both
+    prefill modes."""
+
+    @pytest.mark.parametrize("prefill_mode", ["group", "chunked"])
+    def test_compressed_cold_tier_delays_first_tokens(self, prefill_mode):
+        def run(codec):
+            cache = PrefixCacheConfig(
+                capacity_frac=0.5, hot_frac=0.0, codec=codec
+            )
+            return core(
+                64, prefill_mode=prefill_mode, prefix_cache=cache
+            ).serve(session_reqs())
+
+        raw, packed = run(None), run("kvcomp")
+        assert packed.prefix_cache.n_hits == raw.prefix_cache.n_hits > 0
+        assert raw.prefix_cache.cold_delay_s == 0.0
+        assert packed.prefix_cache.cold_delay_s > 0.0
+        assert packed.makespan_s > raw.makespan_s
+        assert sum(t.first_token_s for t in packed.timings) > sum(
+            t.first_token_s for t in raw.timings
+        )
 
 
 class TestRealEnginePreemption:
