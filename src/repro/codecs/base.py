@@ -45,6 +45,14 @@ class EncodedStream:
         if self.header_nbytes < 0:
             raise CodecError("header_nbytes must be non-negative")
 
+    def meta_field(self, key: str):
+        """``meta[key]``, or a :class:`CodecError` naming the missing field."""
+        try:
+            return self.meta[key]
+        except KeyError:
+            raise CodecError(
+                f"{self.codec} container lacks meta[{key!r}]") from None
+
     @property
     def compressed_nbytes(self) -> int:
         """Total on-device footprint: payload plus container metadata."""

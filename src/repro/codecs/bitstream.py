@@ -104,6 +104,36 @@ class BitReader:
         )
         return out
 
+    def peek_all(self, nbits: int) -> np.ndarray:
+        """The ``nbits``-bit (<= 16) peek at every bit offset, as uint16.
+
+        Entry ``p`` equals ``peek(p, nbits)`` for every ``p`` below
+        ``total_bits``; the array may run up to seven offsets past it.  One
+        big-endian 32-bit window per byte serves its eight bit offsets, so
+        the table costs a few passes over the payload, not one per offset.
+        """
+        if not 1 <= nbits <= 16:
+            raise CodecError("peek_all supports 1..16 bits")
+        nb = (self.total_bits + 7) // 8
+        b = self._buffer
+        window = (
+            (b[:nb].astype(np.uint32) << np.uint32(24))
+            | (b[1:nb + 1].astype(np.uint32) << np.uint32(16))
+            | (b[2:nb + 2].astype(np.uint32) << np.uint32(8))
+            | b[3:nb + 3]
+        )
+        # Offset 8*i + s reads window i shifted right by 32 - nbits - s; the
+        # unsafe cast to uint16 keeps the low 16 bits, so only narrower
+        # peeks need a mask.
+        peeks = np.empty((nb, 8), dtype=np.uint16)
+        for s in range(8):
+            np.right_shift(window, np.uint32(32 - nbits - s), out=peeks[:, s],
+                           casting="unsafe")
+        peeks = peeks.reshape(-1)
+        if nbits < 16:
+            peeks &= np.uint16((1 << nbits) - 1)
+        return peeks
+
     def peek(self, offset: int, nbits: int) -> int:
         """Scalar convenience wrapper over :meth:`peek_vector`."""
         return int(self.peek_vector(np.asarray([offset]), nbits)[0])

@@ -9,9 +9,14 @@ implements exactly that container:
 * canonical, length-limited Huffman codes (max 16 bits, matching a 16-bit
   peek LUT);
 * chunked encoding with per-chunk bit offsets as side information;
-* a chunk-parallel decoder that advances all chunks in lockstep — the Python
-  analogue of one GPU thread per chunk, and the source of the divergence
-  statistics used by the performance model.
+* a chunk-parallel decoder.  A GPU runs one thread per chunk; here every
+  chunk's chain of symbol positions is followed through a successor table
+  over all bit positions, with a squared jump table so only a few hundred
+  vectorised steps run in Python (see :meth:`HuffmanCodec.decode`).
+
+The GPU divergence model (:func:`repro.gpu.warp.huffman_divergence`) reads
+per-symbol code lengths from :meth:`HuffmanCodec.symbol_lengths`, not from
+the decoder.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CodecError
+from ..utils import ceil_div
 from .base import EncodedStream, as_u8, register_byte_codec
 from .bitstream import BitReader, pack_bits
 
@@ -134,6 +140,70 @@ def build_decode_lut(
     return lut_sym, lut_len
 
 
+#: Squaring the successor table stops once ``n_chunks * 2^(D+1)`` exceeds
+#: this.  A squaring is one gather over every bit position of the stream
+#: (about ``2.7 * n_chunks * chunk_symbols`` on an exponent plane) and saves
+#: ``chunk_symbols / 2^(D+1)`` coarse steps, each a Python-level gather over
+#: ``n_chunks`` lanes that costs about as much as gathering ~600 positions,
+#: so it pays off while ``n_chunks * 2^(D+1)`` is below ~220; 128 leaves a
+#: margin for long streams, whose whole-table gathers miss cache more.
+JUMP_LANES = 128
+
+#: At most this many squarings (a 16-step jump table).
+MAX_SQUARINGS = 4
+
+
+def _jump_squarings(n_chunks: int) -> int:
+    """How often to square the successor table for ``n_chunks`` chunks."""
+    squarings = 0
+    while (squarings < MAX_SQUARINGS
+           and n_chunks << (squarings + 1) <= JUMP_LANES):
+        squarings += 1
+    return squarings
+
+
+def _check_container(
+    stream: EncodedStream, max_len: int
+) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """Validate a non-empty container's header before any table is built.
+
+    Returns ``(lengths, chunk_symbols, chunk_bit_offsets, total_bits)``.
+    """
+    n = stream.n_symbols
+    lengths = np.asarray(stream.meta_field("lengths"))
+    if lengths.shape != (256,) or not np.issubdtype(lengths.dtype, np.integer):
+        raise CodecError("Huffman lengths must be 256 integers")
+    if lengths.min() < 0 or lengths.max() > max_len or not lengths.any():
+        raise CodecError(f"Huffman lengths must lie in [0, {max_len}]")
+    present = lengths[lengths > 0].astype(np.int64)
+    if int(np.sum(np.int64(1) << (max_len - present))) > 1 << max_len:
+        raise CodecError("Huffman lengths violate the Kraft inequality")
+    chunk_symbols = stream.meta_field("chunk_symbols")
+    if not isinstance(chunk_symbols, (int, np.integer)) or chunk_symbols < 1:
+        raise CodecError(
+            f"chunk_symbols must be a positive integer, got {chunk_symbols!r}")
+    total_bits = stream.meta_field("total_bits")
+    if not isinstance(total_bits, (int, np.integer)) or not (
+            n <= total_bits <= 8 * stream.payload.size):
+        raise CodecError(
+            f"total_bits={total_bits!r} must lie in [n_symbols={n},"
+            f" 8 * payload bytes={8 * stream.payload.size}]")
+    starts = np.asarray(stream.meta_field("chunk_bit_offsets"))
+    n_chunks = ceil_div(n, int(chunk_symbols))
+    if starts.shape != (n_chunks,) or not np.issubdtype(
+            starts.dtype, np.integer):
+        raise CodecError(
+            f"chunk_bit_offsets must hold ceil(n_symbols / chunk_symbols) ="
+            f" {n_chunks} integers, got shape {starts.shape}")
+    starts = starts.astype(np.int64)
+    if starts[0] != 0 or (np.diff(starts) <= 0).any() or (
+            starts[-1] >= total_bits):
+        raise CodecError(
+            "chunk_bit_offsets must start at 0 and rise strictly below"
+            " total_bits")
+    return lengths, int(chunk_symbols), starts, int(total_bits)
+
+
 @dataclass
 class HuffmanCodec:
     """Chunked canonical-Huffman byte codec."""
@@ -141,6 +211,18 @@ class HuffmanCodec:
     chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS
     max_len: int = MAX_CODE_LEN
     name: str = "huffman"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.chunk_symbols, (int, np.integer)) or (
+                self.chunk_symbols < 1):
+            raise CodecError(
+                "chunk_symbols must be a positive integer,"
+                f" got {self.chunk_symbols!r}")
+        if not isinstance(self.max_len, (int, np.integer)) or not (
+                1 <= self.max_len <= MAX_CODE_LEN):
+            raise CodecError(
+                f"max_len must be an integer in [1, {MAX_CODE_LEN}] (the"
+                f" peek table's width), got {self.max_len!r}")
 
     def encode(self, data: np.ndarray) -> EncodedStream:
         """Encode a uint8 array; see the module docstring for the container."""
@@ -182,32 +264,67 @@ class HuffmanCodec:
         )
 
     def decode(self, stream: EncodedStream) -> np.ndarray:
-        """Chunk-parallel decode; bit-exact inverse of :meth:`encode`."""
+        """Chunk-parallel decode; bit-exact inverse of :meth:`encode`.
+
+        Each chunk's symbol positions are a chain through the successor
+        table ``nxt[p] = p + code_len(p)`` over every bit position ``p``.
+        Squaring ``nxt`` gives a ``2^D``-step jump table, so the chunks
+        advance ``ceil(chunk_symbols / 2^D)`` coarse steps in lockstep and
+        ``2^D - 1`` vectorised gathers through ``nxt`` fill the positions in
+        between.  Position ``total_bits + 1`` absorbs chains that run past
+        the payload.
+        """
         n = stream.n_symbols
         if n == 0:
             return np.zeros(0, dtype=np.uint8)
-        lengths = stream.meta["lengths"]
-        chunk_symbols = stream.meta["chunk_symbols"]
-        offsets = stream.meta["chunk_bit_offsets"].astype(np.int64).copy()
+        lengths, chunk_symbols, starts, total_bits = _check_container(
+            stream, self.max_len)
         lut_sym, lut_len = build_decode_lut(lengths, self.max_len)
-        reader = BitReader(stream.payload, stream.meta["total_bits"])
+        peek = BitReader(stream.payload, total_bits).peek_all(self.max_len)
 
-        n_chunks = offsets.size
-        counts = np.full(n_chunks, chunk_symbols, dtype=np.int64)
-        counts[-1] = n - chunk_symbols * (n_chunks - 1)
-        base = np.arange(n_chunks, dtype=np.int64) * chunk_symbols
+        end = total_bits + 1
+        index = np.int32 if end < np.iinfo(np.int32).max else np.int64
+        nxt = np.arange(total_bits + 2, dtype=index)
+        nxt[:total_bits] += lut_len.take(peek[:total_bits])
+        tail = nxt[max(0, total_bits - self.max_len):total_bits]
+        np.minimum(tail, end, out=tail)
+        nxt[total_bits:] = end
 
-        out = np.empty(n, dtype=np.uint8)
-        for step in range(int(counts.max())):
-            active = counts > step
-            peek = reader.peek_vector(offsets[active], self.max_len)
-            syms = lut_sym[peek]
-            lens = lut_len[peek]
-            if (lens == 0).any():
-                raise CodecError("corrupt Huffman stream: unknown code")
-            out[base[active] + step] = syms
-            offsets[active] += lens
-        return out
+        n_chunks = starts.size
+        squarings = _jump_squarings(n_chunks)
+        jump = nxt
+        for _ in range(squarings):
+            jump = jump.take(jump)
+        stride = 1 << squarings
+        coarse = [starts.astype(index)]
+        for _ in range(ceil_div(chunk_symbols, stride) - 1):
+            coarse.append(jump.take(coarse[-1]))
+        del jump
+        grid = np.empty((stride, len(coarse), n_chunks), dtype=index)
+        np.stack(coarse, out=grid[0])
+        del coarse
+        for i in range(1, stride):
+            nxt.take(grid[i - 1], out=grid[i])
+        # (stride, coarse step, chunk) -> chunk-major symbol order.
+        pos = grid.transpose(2, 1, 0).reshape(n_chunks, -1)[:, :chunk_symbols]
+        pos = pos.reshape(-1)[:n]
+        del grid
+
+        if int(pos.max()) >= total_bits:
+            raise CodecError(
+                "corrupt Huffman stream: a chunk runs past total_bits")
+        codes = peek.take(pos)
+        if not lut_len.take(codes).all():
+            raise CodecError("corrupt Huffman stream: unknown code")
+        last = np.minimum(
+            np.arange(1, n_chunks + 1, dtype=np.int64) * chunk_symbols, n) - 1
+        chunk_ends = nxt.take(pos.take(last))
+        if not np.array_equal(chunk_ends[:-1], starts[1:]) or (
+                int(chunk_ends[-1]) != total_bits):
+            raise CodecError(
+                "corrupt Huffman stream: a chunk does not end where the next"
+                " chunk_bit_offsets entry (or total_bits) says")
+        return lut_sym.take(codes)
 
     def symbol_lengths(self, data: np.ndarray) -> np.ndarray:
         """Per-symbol code lengths for ``data`` (feeds the divergence model)."""

@@ -29,8 +29,12 @@ from ..utils import ceil_div, round_up
 PROB_BITS = 12
 PROB_SCALE = 1 << PROB_BITS
 
-#: Lower bound of the ANS state interval [2^16, 2^32).
-STATE_LOW = np.uint64(1) << np.uint64(16)
+#: The ANS state interval [2^16, 2^32); every stream starts at STATE_LOW.
+STATE_LOW = 1 << 16
+STATE_HIGH = 1 << 32
+
+#: 16-bit renormalisation needs ``prob_bits <= 16`` (see ``_check_prob_bits``).
+MAX_PROB_BITS = 16
 
 
 def normalize_freqs(freqs: np.ndarray, prob_scale: int = PROB_SCALE) -> np.ndarray:
@@ -66,20 +70,83 @@ def _auto_streams(n: int) -> int:
     return min(4096, max(32, round_up(ceil_div(n, 512), 32)))
 
 
+def _check_prob_bits(prob_bits) -> int:
+    # 16-bit renormalisation keeps every state and intermediate value below
+    # 2^32 only while the probability scale fits in 16 bits.
+    if not isinstance(prob_bits, (int, np.integer)) or not (
+            1 <= prob_bits <= MAX_PROB_BITS):
+        raise CodecError(
+            f"prob_bits must be an integer in [1, {MAX_PROB_BITS}],"
+            f" got {prob_bits!r}")
+    return int(prob_bits)
+
+
+def _int_array(stream: EncodedStream, key: str, shape: tuple[int, ...]):
+    value = np.asarray(stream.meta_field(key))
+    if value.shape != shape or not np.issubdtype(value.dtype, np.integer):
+        raise CodecError(
+            f"rANS meta[{key!r}] must hold integers of shape {shape},"
+            f" got {value.dtype} {value.shape}")
+    return value
+
+
+def _check_container(stream: EncodedStream):
+    """Validate a non-empty container's header before decoding.
+
+    Returns ``(num_streams, prob_bits, freqs, states, word_offsets)``.
+    """
+    k = stream.meta_field("num_streams")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise CodecError(f"num_streams must be a positive integer, got {k!r}")
+    k = int(k)
+    prob_bits = _check_prob_bits(stream.meta_field("prob_bits"))
+    freqs = _int_array(stream, "freqs", (256,))
+    if freqs.min() < 0 or int(freqs.sum()) != 1 << prob_bits:
+        raise CodecError("corrupt rANS frequency table")
+    states = _int_array(stream, "states", (k,))
+    if states.min() < STATE_LOW or states.max() >= STATE_HIGH:
+        raise CodecError("rANS states must lie in [2^16, 2^32)")
+    offsets = _int_array(stream, "word_offsets", (k + 1,)).astype(np.int64)
+    if stream.payload.size % 2:
+        raise CodecError("rANS payload must hold whole 16-bit words")
+    if offsets[0] != 0 or (np.diff(offsets) < 0).any() or (
+            offsets[-1] > stream.payload.size // 2):
+        raise CodecError(
+            "rANS word_offsets must start at 0 and rise monotonically within"
+            f" the payload's {stream.payload.size // 2} words")
+    return k, prob_bits, freqs, states, offsets
+
+
 @dataclass
 class RansCodec:
-    """Interleaved rANS byte codec."""
+    """Interleaved rANS byte codec.
+
+    Symbol ``i`` is lane ``i % num_streams`` of step ``i // num_streams``,
+    so the input reshapes to a ``(steps, num_streams)`` grid whose only
+    ragged row is the last one (its active lanes are a prefix).  Encode and
+    decode loop over the steps with every lane vectorised; states stay in
+    uint32 because every intermediate value is below 2^32.
+    """
 
     num_streams: int | None = None
     prob_bits: int = PROB_BITS
     name: str = "rans"
+
+    def __post_init__(self) -> None:
+        _check_prob_bits(self.prob_bits)
+        if self.num_streams is not None and not (
+                isinstance(self.num_streams, (int, np.integer))
+                and self.num_streams >= 1):
+            raise CodecError(
+                "num_streams must be None (automatic) or a positive integer,"
+                f" got {self.num_streams!r}")
 
     def encode(self, data: np.ndarray) -> EncodedStream:
         """Encode a uint8 array into interleaved rANS streams."""
         data = as_u8(data)
         n = data.size
         k = self.num_streams or _auto_streams(n)
-        prob_scale = 1 << self.prob_bits
+        pb = self.prob_bits
         if n == 0:
             return EncodedStream(
                 codec=self.name,
@@ -88,71 +155,56 @@ class RansCodec:
                 header_nbytes=0,
                 meta={"num_streams": k},
             )
-        freqs = normalize_freqs(np.bincount(data, minlength=256), prob_scale)
-        cum = np.concatenate([[0], np.cumsum(freqs)])[:256].astype(np.uint64)
-        freqs_u = freqs.astype(np.uint64)
+        freqs = normalize_freqs(np.bincount(data, minlength=256), 1 << pb)
+        cum = np.concatenate([[0], np.cumsum(freqs)])[:256]
 
-        # Lay out symbols as (streams, steps); pad the ragged tail.
         steps = ceil_div(n, k)
-        padded = np.zeros(k * steps, dtype=np.uint8)
-        padded[:n] = data
-        lanes = padded.reshape(steps, k).T  # (k, steps)
-        valid = (np.arange(k)[:, None] + np.arange(steps)[None, :] * k) < n
+        grid = np.zeros(steps * k, dtype=np.uint8)
+        grid[:n] = data
+        grid = grid.reshape(steps, k)
+        f_grid = freqs.astype(np.uint32).take(grid)
+        # ((x // f) << pb) + x % f + cum == x + (x // f) * (2^pb - f) + cum;
+        # the gap and cum of every symbol that occurs are below 2^pb <= 2^16.
+        gap_grid = ((1 << pb) - freqs).astype(np.uint16).take(grid)
+        cum_grid = cum.astype(np.uint16).take(grid)
+        del grid
+        words = np.empty((steps, k), dtype=np.uint16)
+        emitted = np.zeros((steps, k), dtype=bool)
 
-        x = np.full(k, STATE_LOW, dtype=np.uint64)
-        emit_stream: list[np.ndarray] = []
-        emit_word: list[np.ndarray] = []
-        shift16 = np.uint64(16)
-        pbits = np.uint64(self.prob_bits)
+        x = np.full(k, STATE_LOW, dtype=np.uint32)
+        high = np.uint32(32 - pb)
+        ragged = n - (steps - 1) * k
         # Encode in reverse symbol order so the decoder runs forward.
         for step in range(steps - 1, -1, -1):
-            syms = lanes[:, step].astype(np.int64)
-            active = valid[:, step]
-            # Inactive (padding) lanes may map to zero-frequency symbols;
-            # substitute 1 so the vectorised division is well-defined (their
-            # state update is discarded by the mask below).
-            f = np.where(active, freqs_u[syms], np.uint64(1))
-            x_max = (f << np.uint64(20)) if self.prob_bits == 12 else (
-                (STATE_LOW >> pbits) << shift16
-            ) * f
-            renorm = active & (x >= x_max)
-            if renorm.any():
-                emit_stream.append(np.flatnonzero(renorm).astype(np.int64))
-                emit_word.append((x[renorm] & np.uint64(0xFFFF)).astype(np.uint16))
-                x[renorm] >>= shift16
-            q = x // f
-            r = x - q * f
-            x_new = (q << pbits) + r + cum[syms]
-            x = np.where(active, x_new, x)
+            m = ragged if step == steps - 1 else k
+            xs, f = x[:m], f_grid[step, :m]
+            # Renormalise x >= f << (32 - pb) by one 16-bit word.
+            emit = (xs >> high) >= f
+            emitted[step, :m] = emit
+            words[step, :m] = xs  # the low 16 bits
+            np.right_shift(xs, np.uint32(16), out=xs, where=emit)
+            q = xs // f
+            q *= gap_grid[step, :m]
+            xs += q
+            xs += cum_grid[step, :m]
 
-        if emit_stream:
-            streams_cat = np.concatenate(emit_stream)
-            words_cat = np.concatenate(emit_word)
-        else:
-            streams_cat = np.zeros(0, dtype=np.int64)
-            words_cat = np.zeros(0, dtype=np.uint16)
-        # Per-stream payload in decode (reverse-of-emission) order.
-        order = np.argsort(streams_cat, kind="stable")
-        counts = np.bincount(streams_cat, minlength=k)
-        sorted_words = words_cat[order]
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        payload_words = np.empty_like(sorted_words)
-        for j in range(k):
-            seg = sorted_words[offsets[j]:offsets[j + 1]]
-            payload_words[offsets[j]:offsets[j + 1]] = seg[::-1]
+        # Stream j's payload is its words in decode (ascending-step) order.
+        payload_words = words.T[emitted.T]
+        offsets = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(emitted.sum(axis=0), out=offsets[1:])
 
         header_nbytes = 512 + 8 * k + 16  # freq table + per-stream state/offset
         return EncodedStream(
             codec=self.name,
-            payload=payload_words.view(np.uint8).copy(),
+            payload=payload_words.view(np.uint8),
             n_symbols=n,
             header_nbytes=header_nbytes,
             meta={
                 "num_streams": k,
                 "freqs": freqs,
-                "states": x.copy(),
+                "states": x.astype(np.uint64),
                 "word_offsets": offsets,
-                "prob_bits": self.prob_bits,
+                "prob_bits": pb,
             },
         )
 
@@ -161,45 +213,51 @@ class RansCodec:
         n = stream.n_symbols
         if n == 0:
             return np.zeros(0, dtype=np.uint8)
-        k = stream.meta["num_streams"]
-        prob_bits = stream.meta["prob_bits"]
-        prob_scale = 1 << prob_bits
-        freqs = stream.meta["freqs"].astype(np.uint64)
-        cum = np.concatenate([[0], np.cumsum(freqs)])[:256].astype(np.uint64)
-        slot_to_sym = np.repeat(
-            np.arange(256, dtype=np.uint8), freqs.astype(np.int64)
-        )
-        if slot_to_sym.size != prob_scale:
-            raise CodecError("corrupt rANS frequency table")
+        k, pb, freqs, states, offsets = _check_container(stream)
+        # Slot tables: slot -> symbol, its frequency, and slot - cum[symbol].
+        counts = freqs.astype(np.int64)
+        slot_sym = np.repeat(np.arange(256, dtype=np.uint8), counts)
+        slot_freq = np.repeat(freqs.astype(np.uint32), counts)
+        cum = np.concatenate([[0], np.cumsum(counts)])[:256]
+        slot_bias = (
+            np.arange(1 << pb, dtype=np.int64) - np.repeat(cum, counts)
+        ).astype(np.uint32)
 
-        words = stream.payload.view(np.uint16)
-        offsets = stream.meta["word_offsets"]
-        cursor = offsets[:-1].astype(np.int64).copy()
-        limit = offsets[1:].astype(np.int64)
-        x = stream.meta["states"].astype(np.uint64).copy()
+        # A zero word past the end lets every lane gather each step; lanes
+        # that do not renormalise discard it.
+        words = np.zeros(stream.payload.size // 2 + 1, dtype=np.uint16)
+        words[:-1] = stream.payload.view(np.uint16)
+        cursor = offsets[:-1].astype(np.intp)
+        x = states.astype(np.uint32)
 
         steps = ceil_div(n, k)
-        out = np.zeros((k, steps), dtype=np.uint8)
-        mask = np.uint64(prob_scale - 1)
-        pbits = np.uint64(prob_bits)
-        shift16 = np.uint64(16)
+        slots = np.empty((steps, k), dtype=np.uint16)  # slot < 2^pb <= 2^16
+        mask = np.uint32((1 << pb) - 1)
+        pbits = np.uint32(pb)
+        shift16 = np.uint32(16)
+        ragged = n - (steps - 1) * k
         for step in range(steps):
-            active = (np.arange(k) + step * k) < n
-            slot = x & mask
-            syms = slot_to_sym[slot.astype(np.int64)]
-            f = freqs[syms]
-            x_new = f * (x >> pbits) + slot - cum[syms]
-            x = np.where(active, x_new, x)
-            out[active, step] = syms[active]
-            renorm = active & (x < STATE_LOW)
-            if renorm.any():
-                idx = np.flatnonzero(renorm)
-                take = cursor[idx]
-                if (take >= limit[idx]).any():
-                    raise CodecError("corrupt rANS stream: payload underrun")
-                x[idx] = (x[idx] << shift16) | words[take].astype(np.uint64)
-                cursor[idx] += 1
-        return out.T.reshape(-1)[:n].copy()
+            m = ragged if step == steps - 1 else k
+            xs, cs = x[:m], cursor[:m]
+            slot = np.bitwise_and(xs, mask, out=slots[step, :m])
+            xs >>= pbits
+            xs *= slot_freq.take(slot)
+            xs += slot_bias.take(slot)
+            renorm = xs < STATE_LOW
+            word = words.take(cs, mode="clip")
+            np.left_shift(xs, shift16, out=xs, where=renorm)
+            np.bitwise_or(xs, word, out=xs, where=renorm)
+            cs += renorm
+
+        # An overrun lane read its neighbour's words (or the zero pad):
+        # reject before trusting the output.
+        if (cursor > offsets[1:]).any():
+            raise CodecError("corrupt rANS stream: payload underrun")
+        if (cursor != offsets[1:]).any() or (x != STATE_LOW).any():
+            raise CodecError(
+                "corrupt rANS stream: a lane does not end in the encoder's"
+                " initial state with its words consumed")
+        return slot_sym.take(slots.reshape(-1)[:n])
 
 
 register_byte_codec(RansCodec())

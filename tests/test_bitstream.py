@@ -60,6 +60,20 @@ class TestBitReader:
         for off, val in zip(offsets, vec):
             assert reader.peek(int(off), 3) == int(val)
 
+    @pytest.mark.parametrize("nbits", [1, 3, 12, 16])
+    def test_peek_all_matches_peek_vector(self, nbits, rng):
+        lengths = rng.integers(1, 17, 300)
+        codes = rng.integers(0, 1 << 16, 300) & ((1 << lengths) - 1)
+        buf, total = pack_bits(codes, lengths)
+        reader = BitReader(buf, total)
+        table = reader.peek_all(nbits)
+        assert table.dtype == np.uint16 and table.size >= total
+        offsets = np.arange(total)
+        assert np.array_equal(table[:total],
+                              reader.peek_vector(offsets, nbits))
+        with pytest.raises(CodecError):
+            reader.peek_all(17)
+
     def test_short_buffer_rejected(self):
         with pytest.raises(CodecError):
             BitReader(np.zeros(1, dtype=np.uint8), 100)

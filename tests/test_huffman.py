@@ -168,3 +168,75 @@ class TestRoundTrip:
         data = np.frombuffer(raw, dtype=np.uint8).copy()
         codec = HuffmanCodec(chunk_symbols=256)
         assert np.array_equal(codec.decode(codec.encode(data)), data)
+
+
+class TestCorruptContainers:
+    """Bad headers raise :class:`CodecError` before any table is built."""
+
+    @staticmethod
+    def stream(n: int = 5000, chunk_symbols: int = 1024):
+        codec = HuffmanCodec(chunk_symbols=chunk_symbols)
+        return codec, codec.encode(skewed_bytes(n, seed=6))
+
+    def test_offset_past_the_end(self):
+        codec, stream = self.stream()
+        stream.meta["chunk_bit_offsets"][-1] = stream.meta["total_bits"] + 800
+        with pytest.raises(CodecError, match="chunk_bit_offsets"):
+            codec.decode(stream)
+
+    def test_negative_offset(self):
+        codec, stream = self.stream()
+        stream.meta["chunk_bit_offsets"][2] = -8
+        with pytest.raises(CodecError, match="chunk_bit_offsets"):
+            codec.decode(stream)
+
+    def test_fewer_chunks_than_n_symbols_needs(self):
+        codec, stream = self.stream()
+        stream.n_symbols += 2 * 1024
+        with pytest.raises(CodecError, match="chunk_bit_offsets"):
+            codec.decode(stream)
+
+    def test_n_symbols_past_the_last_code(self):
+        codec, stream = self.stream()
+        stream.n_symbols += 100  # same chunk count, padding bits after
+        with pytest.raises(CodecError, match="past total_bits"):
+            codec.decode(stream)
+
+    def test_n_symbols_short_of_the_last_code(self):
+        codec, stream = self.stream()
+        stream.n_symbols -= 1
+        with pytest.raises(CodecError, match="does not end"):
+            codec.decode(stream)
+
+    def test_shifted_chunk_start(self):
+        codec, stream = self.stream()
+        stream.meta["chunk_bit_offsets"][1] += 1
+        with pytest.raises(CodecError):
+            codec.decode(stream)
+
+    def test_total_bits_beyond_payload(self):
+        codec, stream = self.stream()
+        stream.meta["total_bits"] = 8 * stream.payload.size + 1
+        with pytest.raises(CodecError, match="total_bits"):
+            codec.decode(stream)
+
+    def test_overfull_length_table(self):
+        codec, stream = self.stream()
+        stream.meta["lengths"][:8] = 1
+        with pytest.raises(CodecError, match="Kraft"):
+            codec.decode(stream)
+
+    def test_missing_field(self):
+        codec, stream = self.stream()
+        del stream.meta["chunk_symbols"]
+        with pytest.raises(CodecError, match="chunk_symbols"):
+            codec.decode(stream)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chunk_symbols", 0), ("chunk_symbols", -64), ("max_len", 0),
+    ("max_len", 17),
+])
+def test_bad_config_rejected(field, value):
+    with pytest.raises(CodecError, match=field):
+        HuffmanCodec(**{field: value})

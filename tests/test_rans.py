@@ -102,3 +102,77 @@ class TestRoundTrip:
         data = np.frombuffer(raw, dtype=np.uint8).copy()
         codec = RansCodec(num_streams=32)
         assert np.array_equal(codec.decode(codec.encode(data)), data)
+
+
+class TestCorruptContainers:
+    """Bad headers and payloads raise :class:`CodecError`, never a bare
+    numpy error or silently wrong bytes."""
+
+    @staticmethod
+    def stream():
+        codec = RansCodec(num_streams=32)
+        return codec, codec.encode(skewed_bytes(20_000, seed=8))
+
+    def test_odd_length_payload(self):
+        codec, stream = self.stream()
+        stream.payload = stream.payload[:-1]
+        with pytest.raises(CodecError, match="16-bit words"):
+            codec.decode(stream)
+
+    def test_truncated_payload(self):
+        codec, stream = self.stream()
+        stream.payload = stream.payload[:-64]
+        with pytest.raises(CodecError, match="word_offsets"):
+            codec.decode(stream)
+
+    def test_word_offsets_past_the_payload(self):
+        codec, stream = self.stream()
+        stream.meta["word_offsets"] = stream.meta["word_offsets"] + 50
+        with pytest.raises(CodecError, match="word_offsets"):
+            codec.decode(stream)
+
+    def test_decreasing_word_offsets(self):
+        codec, stream = self.stream()
+        offsets = stream.meta["word_offsets"]
+        offsets[5], offsets[6] = offsets[6], offsets[5]
+        with pytest.raises(CodecError, match="word_offsets"):
+            codec.decode(stream)
+
+    def test_short_states(self):
+        codec, stream = self.stream()
+        stream.meta["states"] = stream.meta["states"][:-1]
+        with pytest.raises(CodecError, match="states"):
+            codec.decode(stream)
+
+    @pytest.mark.parametrize("state", [0, (1 << 16) - 1, 1 << 32])
+    def test_state_out_of_range(self, state):
+        codec, stream = self.stream()
+        stream.meta["states"][3] = state
+        with pytest.raises(CodecError, match="states"):
+            codec.decode(stream)
+
+    def test_flipped_payload_word(self):
+        codec, stream = self.stream()
+        stream.payload[100] ^= 0x5A  # a word mid-lane: no underrun
+        with pytest.raises(CodecError, match="initial state"):
+            codec.decode(stream)
+
+    def test_frequency_table_off_scale(self):
+        codec, stream = self.stream()
+        stream.meta["freqs"][stream.meta["freqs"].argmax()] += 1
+        with pytest.raises(CodecError, match="frequency table"):
+            codec.decode(stream)
+
+    def test_prob_bits_beyond_16(self):
+        with pytest.raises(CodecError, match="prob_bits"):
+            RansCodec(prob_bits=17)
+        codec, stream = self.stream()
+        stream.meta["prob_bits"] = 20
+        with pytest.raises(CodecError, match="prob_bits"):
+            codec.decode(stream)
+
+
+@pytest.mark.parametrize("num_streams", [0, -3, 2.5])
+def test_bad_num_streams_rejected(num_streams):
+    with pytest.raises(CodecError, match="num_streams"):
+        RansCodec(num_streams=num_streams)
